@@ -17,7 +17,9 @@ Problem kinds (the "kind" field selects one):
                                                 "brackets": "[]"}, ...],
                         "box": [... same shape ...]}
 
-Exit codes: 0 success; 2 unreadable/invalid input; 3 analysis ran but every
+Exit codes: 0 success; 2 unreadable/invalid input, including a matrix outside
+the admissible class (not completely reducible, or without one positive
+maximum cycle mean shared by its components); 3 analysis ran but every
 classifier answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
@@ -41,7 +43,7 @@ from .circulant import Circulant, circ_spectral, expand
 from .core import InternalError, MaxMatrix, MaxVector, as_scalar
 from .digraph import critical_structure
 from .intervals import Box, ScalarInterval
-from .periodicity import orbit_period, transient_and_period
+from .periodicity import NotAdmissible, orbit_period, transient_and_period
 from .robustness import IntervalCirculant, classify
 
 EXIT_OK = 0
@@ -251,7 +253,7 @@ def run(
             "decimals": decimals,
         }
         results = _KINDS[kind](problem, flags)
-    except ProblemError as exc:
+    except (ProblemError, NotAdmissible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InternalError, AssertionError) as exc:

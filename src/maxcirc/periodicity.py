@@ -36,6 +36,10 @@ from .digraph import (
 HARD_DETECTION_CAP = 20000
 
 
+class NotAdmissible(ValueError):
+    """The matrix is outside the class whose normalized powers are known to be periodic."""
+
+
 @dataclass(frozen=True)
 class PeriodicityInfo:
     transient: int
@@ -50,18 +54,20 @@ def _admissible_lambda_class(a: MaxMatrix) -> tuple[Fraction, int]:
     """
     g = associated_digraph(a)
     if not is_completely_reducible(g):
-        raise ValueError("ultimate periodicity not guaranteed: matrix is not completely reducible")
+        raise NotAdmissible(
+            "ultimate periodicity not guaranteed: matrix is not completely reducible"
+        )
     classes = []
     for comp in strongly_connected_components(g):
         cls = _karp_class_in_scc(a, comp)
         if cls is not None:
             classes.append(cls)
     if not classes:
-        raise ValueError("ultimate periodicity not guaranteed: maximum cycle mean is zero")
+        raise NotAdmissible("ultimate periodicity not guaranteed: maximum cycle mean is zero")
     first = classes[0]
     for other in classes[1:]:
         if not pair_eq(first, other):
-            raise ValueError(
+            raise NotAdmissible(
                 "ultimate periodicity not guaranteed: components have unequal cycle means"
             )
     return first

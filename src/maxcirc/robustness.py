@@ -34,7 +34,7 @@ from typing import Iterable
 
 from .attraction import attraction_system, in_attraction_cone
 from .circulant import Circulant
-from .core import DimensionMismatch, MaxVector
+from .core import DimensionMismatch, InternalError, MaxVector
 from .intervals import Box, ScalarInterval
 from .twosided import FeasibilityResult, feasible_in_box, simultaneous_feasible
 
@@ -136,7 +136,7 @@ def decompose_in_box(x: MaxVector, box: Box) -> tuple[Fraction, ...]:
     for k, beta in enumerate(betas, start=1):
         rebuilt = rebuilt.max_with(corner_vector(box, k).scale(beta))
     if rebuilt != x:
-        raise RuntimeError("corner decomposition failed to reconstruct the vector")
+        raise InternalError("corner decomposition failed to reconstruct the vector")
     return betas
 
 

@@ -19,6 +19,11 @@ uniform factor < 1 proves the greatest solution is the zero vector) and an
 honest iteration cap.  Feasibility decisions fall back to a complete
 corner-candidate enumeration at small sizes when the cap is hit.
 
+The arithmetic is exact and on Python ints: each equation is multiplied by
+the lcm of its coefficient denominators (its solution set is unchanged) and
+keeps its nonzero terms, and an iterate is a tuple of numerators over one
+shared denominator, reduced by their gcd after every sweep.
+
 No polynomial-time claim is made for any of this.
 """
 
@@ -26,10 +31,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import ONE, ZERO, DimensionMismatch, InternalError, MaxVector, ScalarLike, as_scalar
 from .intervals import Box
+
+# A sparse side of an integer-scaled equation: (0-based index, coefficient > 0).
+Terms = tuple[tuple[int, int], ...]
+# An iterate: numerators over one shared denominator.
+Scaled = tuple[tuple[int, ...], int]
 
 
 class IterationCapExceeded(RuntimeError):
@@ -55,6 +68,29 @@ class TwoSidedSystem:
         eqs = tuple((MaxVector.of(l), MaxVector.of(r)) for l, r in equations)
         return cls(n, eqs)
 
+    @cached_property
+    def _coefficients(self) -> frozenset[Fraction]:
+        """The distinct positive coefficients."""
+        return frozenset(c for l, r in self.equations for c in (*l.entries, *r.entries) if c > 0)
+
+    @cached_property
+    def iteration_cap(self) -> int:
+        """Default number of sweeps before the solver gives up honestly."""
+        return max(10 * self.n * max(len(self._coefficients), 1), 60)
+
+    @cached_property
+    def _scaled_equations(self) -> tuple[tuple[Terms, Terms, Terms], ...]:
+        """Each equation, scaled to integers, as sparse (lhs, rhs, lhs + rhs) terms."""
+        out = []
+        for l, r in self.equations:
+            scale = lcm(*(c.denominator for c in (*l.entries, *r.entries)))
+            lhs, rhs = (
+                tuple((j, c.numerator * (scale // c.denominator)) for j, c in enumerate(side) if c)
+                for side in (l.entries, r.entries)
+            )
+            out.append((lhs, rhs, lhs + rhs))
+        return tuple(out)
+
 
 def max_form(n: int, terms: Iterable[tuple[int, ScalarLike]]) -> MaxVector:
     """Coefficient vector from (1-based index, coefficient) terms.
@@ -72,64 +108,94 @@ def max_form(n: int, terms: Iterable[tuple[int, ScalarLike]]) -> MaxVector:
     return MaxVector(tuple(coeffs))
 
 
-def side_value(coeffs: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    return max(c * v for c, v in zip(coeffs, x))
+def _scaled(values: Sequence[Fraction]) -> Scaled:
+    """Numerators over the lcm of the denominators (already in lowest terms)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _vector(x: Scaled) -> MaxVector:
+    nums, den = x
+    return MaxVector(tuple(Fraction(v, den) for v in nums))
+
+
+def _side(terms: Terms, nums: Sequence[int]) -> int:
+    return max([c * nums[j] for j, c in terms], default=0)
+
+
+def _holds(eqs, nums: Sequence[int]) -> bool:
+    return all(_side(lhs, nums) == _side(rhs, nums) for lhs, rhs, _ in eqs)
 
 
 def satisfies(system: TwoSidedSystem, x: MaxVector) -> bool:
     """Whether ``x`` solves every equation with exact equality."""
     if x.n != system.n:
         raise DimensionMismatch(f"vector size {x.n} vs system width {system.n}")
-    xs = x.entries
-    return all(
-        side_value(l.entries, xs) == side_value(r.entries, xs) for l, r in system.equations
-    )
+    return _holds(system._scaled_equations, _scaled(x.entries)[0])
 
 
-def concat_systems(systems: Sequence[TwoSidedSystem]) -> TwoSidedSystem:
-    if not systems:
-        raise ValueError("need at least one system")
-    n = systems[0].n
-    eqs: list[tuple[MaxVector, MaxVector]] = []
-    for s in systems:
-        if s.n != n:
-            raise DimensionMismatch("systems are over different numbers of unknowns")
-        eqs.extend(s.equations)
-    return TwoSidedSystem(n, tuple(eqs))
+def _sweep(eqs, x: Scaled) -> Scaled:
+    """One residuation round: cap each side of each equation by the smaller side.
+
+    Every bound comes from the old iterate.  New coordinate j is held as
+    num[j] / (den[j] * old denominator) until the round ends.
+    """
+    nums, old_den = x
+    num = list(nums)
+    den = [1] * len(nums)
+    for lhs, rhs, both in eqs:
+        t = min(_side(lhs, nums), _side(rhs, nums))
+        for j, c in both:
+            if t * den[j] < num[j] * c:  # t / c < num[j] / den[j]
+                num[j] = t
+                den[j] = c
+    scale = lcm(*den)
+    num = [v * (scale // d) for v, d in zip(num, den)]
+    g = gcd(scale * old_den, *num)
+    return tuple(v // g for v in num), scale * old_den // g
 
 
-def default_iteration_cap(system: TwoSidedSystem) -> int:
-    distinct = {c for l, r in system.equations for c in (*l.entries, *r.entries) if c > 0}
-    return max(10 * system.n * max(len(distinct), 1), 60)
-
-
-def _sweep(eqs, x: list[Fraction]) -> list[Fraction]:
-    """One residuation round: cap each side of each equation by the smaller side."""
-    new = list(x)
-    for l, r in eqs:
-        t = min(side_value(l, x), side_value(r, x))
-        for coeffs in (l, r):
-            for j, c in enumerate(coeffs):
-                if c > 0:
-                    bound = t / c
-                    if bound < new[j]:
-                        new[j] = bound
-    return new
-
-
-def _collapsed(prev: Sequence[Fraction], new: Sequence[Fraction]) -> bool:
+def _collapsed(prev: Scaled, new: Scaled) -> bool:
     """True when new <= c * prev for a single factor c < 1.
 
     Then iterating the (homogeneous, monotone) sweep from ``prev`` shrinks to
     zero, and every solution below ``prev`` is the zero vector.
     """
-    for p, v in zip(prev, new):
+    (prev_nums, prev_den), (new_nums, new_den) = prev, new
+    for p, v in zip(prev_nums, new_nums):
         if p == 0:
             if v != 0:
                 raise InternalError("residuation sweep increased a zero coordinate")
-        elif v >= p:
+        elif v * prev_den >= p * new_den:
             return False
     return True
+
+
+def _fixpoint(
+    system: TwoSidedSystem, upper: MaxVector, cap: int, lower: MaxVector | None = None
+) -> Scaled | None:
+    """Sweep from ``upper`` to the greatest solution below it.
+
+    Every solution below ``upper`` stays below each iterate, so an iterate
+    that drops below ``lower`` proves there is none at or above it: then None.
+    """
+    lows = [(lo.numerator, lo.denominator) for lo in (() if lower is None else lower.entries)]
+    x = _scaled(upper.entries)
+    history = [x]
+    for _ in range(cap):
+        new = _sweep(system._scaled_equations, x)
+        nums, den = new
+        if any(v * b < a * den for v, (a, b) in zip(nums, lows)):
+            return None
+        if new == x:
+            return x
+        if any(_collapsed(prev, new) for prev in history):
+            return (0,) * len(nums), 1
+        history.append(new)
+        if len(history) > 24:
+            history.pop(0)
+        x = new
+    raise IterationCapExceeded(f"no stabilization within {cap} sweeps")
 
 
 def greatest_solution_leq(
@@ -145,27 +211,13 @@ def greatest_solution_leq(
     """
     if upper.n != system.n:
         raise DimensionMismatch(f"upper size {upper.n} vs system width {system.n}")
-    if iteration_cap is None:
-        iteration_cap = default_iteration_cap(system)
-    eqs = [(l.entries, r.entries) for l, r in system.equations]
-    if not eqs:
+    if not system.equations:
         return upper
-    x = list(upper.entries)
-    history: list[tuple[Fraction, ...]] = [tuple(x)]
-    for _ in range(iteration_cap):
-        new = _sweep(eqs, x)
-        if new == x:
-            result = MaxVector(tuple(x))
-            if not satisfies(system, result):
-                raise InternalError("stabilized iterate does not solve the system")
-            return result
-        if any(_collapsed(prev, new) for prev in history):
-            return MaxVector.zeros(system.n)
-        history.append(tuple(new))
-        if len(history) > 24:
-            history.pop(0)
-        x = new
-    raise IterationCapExceeded(f"no stabilization within {iteration_cap} sweeps")
+    cap = system.iteration_cap if iteration_cap is None else iteration_cap
+    result = _vector(_fixpoint(system, upper, cap))
+    if not satisfies(system, result):
+        raise InternalError("stabilized iterate does not solve the system")
+    return result
 
 
 # --- feasibility in a box ----------------------------------------------------
@@ -210,33 +262,13 @@ def feasible_in_box(system: TwoSidedSystem, box: Box) -> FeasibilityResult:
     """
     if box.n != system.n:
         raise DimensionMismatch(f"box size {box.n} vs system width {system.n}")
-    eqs = [(l.entries, r.entries) for l, r in system.equations]
     ivs = box.intervals
-    if not eqs:
+    if not system.equations:
         return _finish_feasible(system, box, box.interior_point())
 
-    upper = box.closure_upper()
-    cap = default_iteration_cap(system)
-    x = list(upper.entries)
-    history: list[tuple[Fraction, ...]] = [tuple(x)]
-    g: MaxVector | None = None
-    for _ in range(cap):
-        new = _sweep(eqs, x)
-        # Every solution in the box is <= the current iterate, so dropping
-        # below a lower bound is already decisive.
-        if any(v < iv.lower for v, iv in zip(new, ivs)):
-            return FeasibilityResult("infeasible")
-        if new == x:
-            g = MaxVector(tuple(x))
-            break
-        if any(_collapsed(prev, new) for prev in history):
-            g = MaxVector.zeros(system.n)
-            break
-        history.append(tuple(new))
-        if len(history) > 24:
-            history.pop(0)
-        x = new
-    if g is None:
+    try:
+        x = _fixpoint(system, box.closure_upper(), system.iteration_cap, box.closure_lower())
+    except IterationCapExceeded as exc:
         complete, witness = _exhaustive_search(system, box)
         if witness is not None:
             return _finish_feasible(system, box, witness)
@@ -246,32 +278,23 @@ def feasible_in_box(system: TwoSidedSystem, box: Box) -> FeasibilityResult:
             return FeasibilityResult("infeasible")
         if complete:
             return FeasibilityResult("unknown_strict_boundary")
-        raise IterationCapExceeded(
-            f"no stabilization within {cap} sweeps and fallback enumeration unavailable"
-        )
+        raise IterationCapExceeded(f"{exc} and fallback enumeration unavailable") from None
+    if x is None:
+        return FeasibilityResult("infeasible")
+    g = _vector(x)
 
     for v, iv in zip(g.entries, ivs):
         if v < iv.lower or (v == iv.lower and not iv.lower_closed):
             return FeasibilityResult("infeasible")
 
-    blocked = [
-        j
-        for j, (v, iv) in enumerate(zip(g.entries, ivs))
-        if not iv.upper_closed and v == iv.upper
-    ]
-    if not blocked:
+    if not any(not iv.upper_closed and v == iv.upper for v, iv in zip(g.entries, ivs)):
         return _finish_feasible(system, box, g)
 
     # Scale the witness inward off the strict upper boundaries.  The scaled
     # vector is still a solution (solution sets are max cones), and any
     # factor strictly between the largest lower-bound ratio and 1 clears
     # every positive lower bound strictly.
-    c_min = ZERO
-    for v, iv in zip(g.entries, ivs):
-        if iv.lower > 0:
-            ratio = iv.lower / v
-            if ratio > c_min:
-                c_min = ratio
+    c_min = max((iv.lower / v for v, iv in zip(g.entries, ivs) if iv.lower > 0), default=ZERO)
     if c_min < 1:
         c = (c_min + 1) / 2
         scaled = g.scale(c)
@@ -290,10 +313,10 @@ def simultaneous_feasible(
 
     An empty list is trivially feasible at any point of the box.
     """
-    if not systems:
-        empty = TwoSidedSystem(box.n, ())
-        return _finish_feasible(empty, box, box.interior_point())
-    return feasible_in_box(concat_systems(list(systems)), box)
+    n = systems[0].n if systems else box.n
+    if any(s.n != n for s in systems):
+        raise DimensionMismatch("systems are over different numbers of unknowns")
+    return feasible_in_box(TwoSidedSystem(n, tuple(eq for s in systems for eq in s.equations)), box)
 
 
 # --- complete enumeration fallback -------------------------------------------
@@ -311,27 +334,16 @@ def _candidate_values(system: TwoSidedSystem, box: Box) -> list[Fraction] | None
     bound).  Products of bounds with up to n-1 ratio factors therefore form a
     complete candidate pool.  Returns None when the pool would be too large.
     """
-    coeffs = sorted(
-        {c for l, r in system.equations for c in (*l.entries, *r.entries) if c > 0}
-    )
-    bounds = sorted(
-        {iv.lower for iv in box.intervals if iv.lower > 0}
-        | {iv.upper for iv in box.intervals if iv.upper > 0}
-    )
+    coeffs = system._coefficients
+    bounds = {b for iv in box.intervals for b in (iv.lower, iv.upper) if b > 0}
     if not bounds:
         return [ZERO]
-    ratios = sorted({a / b for a in coeffs for b in coeffs}) if coeffs else [ONE]
+    ratios = {a / b for a in coeffs for b in coeffs} if coeffs else {ONE}
     lo = min(iv.lower for iv in box.intervals)
     hi = max(iv.upper for iv in box.intervals)
-    values: set[Fraction] = set(bounds)
-    frontier: set[Fraction] = set(bounds)
+    values, frontier = set(bounds), bounds
     for _ in range(max(system.n - 1, 0)):
-        nxt: set[Fraction] = set()
-        for v in frontier:
-            for r in ratios:
-                w = v * r
-                if lo <= w <= hi and w not in values:
-                    nxt.add(w)
+        nxt = {w for v in frontier for r in ratios if lo <= (w := v * r) <= hi} - values
         values |= nxt
         frontier = nxt
         if len(values) > _ENUM_VALUE_LIMIT:
@@ -352,30 +364,18 @@ def _exhaustive_search(system: TwoSidedSystem, box: Box) -> tuple[bool, MaxVecto
     values = _candidate_values(system, box)
     if values is None:
         return False, None
-    per_coord: list[list[Fraction]] = []
+    den = lcm(*(v.denominator for v in values))
+    per_coord: list[list[int]] = []
     total = 1
     for iv in box.intervals:
-        cand = [v for v in values if iv.contains(v)]
+        cand = [v.numerator * (den // v.denominator) for v in values if iv.contains(v)]
         if not cand:
             return True, None
         per_coord.append(cand)
         total *= len(cand)
         if total > _ENUM_COMBO_LIMIT:
             return False, None
-    n = system.n
-    choice = [ZERO] * n
-
-    def rec(j: int) -> MaxVector | None:
-        if j == n:
-            x = MaxVector(tuple(choice))
-            if satisfies(system, x):
-                return x
-            return None
-        for v in per_coord[j]:
-            choice[j] = v
-            hit = rec(j + 1)
-            if hit is not None:
-                return hit
-        return None
-
-    return True, rec(0)
+    for nums in product(*per_coord):
+        if _holds(system._scaled_equations, nums):
+            return True, _vector((nums, den))
+    return True, None

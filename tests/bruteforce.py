@@ -183,3 +183,159 @@ def minimal_transient_period(a, lam, bound):
     while transient > 1 and norm[transient - 1] == norm[transient - 1 + period]:
         transient -= 1
     return transient, period
+
+
+# --- two-sided systems: the rational residuation sweep ---------------------------
+#
+# A plain-Fraction copy of the library's greatest-solution sweep and box
+# feasibility decision, on raw tuples.  The library runs the same algorithm on
+# integer-scaled equations; the two must agree value for value, including
+# which inputs exhaust the iteration cap.  Intervals are
+# (lower, upper, lower_closed, upper_closed) tuples.
+
+
+class SweepCapExceeded(Exception):
+    """The oracle sweep did not stabilize within the iteration cap."""
+
+
+def sweep_cap(n, equations):
+    distinct = {c for l, r in equations for c in (*l, *r) if c > 0}
+    return max(10 * n * max(len(distinct), 1), 60)
+
+
+def side(coeffs, x):
+    return max(c * v for c, v in zip(coeffs, x))
+
+
+def residuation_round(equations, x):
+    """One Jacobi round: every bound comes from the old iterate ``x``."""
+    new = list(x)
+    for l, r in equations:
+        t = min(side(l, x), side(r, x))
+        for coeffs in (l, r):
+            for j, c in enumerate(coeffs):
+                if c > 0 and t / c < new[j]:
+                    new[j] = t / c
+    return new
+
+
+def collapsed(prev, new):
+    """new <= c * prev for one factor c < 1 (zero coordinates must stay zero)."""
+    for p, v in zip(prev, new):
+        if p == 0:
+            assert v == 0, "residuation round increased a zero coordinate"
+        elif v >= p:
+            return False
+    return True
+
+
+def _run_sweep(n, equations, upper, cap, lower=None):
+    """Iterate to a fixpoint: returns the iterate, None when below ``lower``.
+
+    Raises SweepCapExceeded when no fixpoint is reached within ``cap`` rounds.
+    """
+    x = list(upper)
+    history = [tuple(x)]
+    for _ in range(cap):
+        new = residuation_round(equations, x)
+        if lower is not None and any(v < lo for v, lo in zip(new, lower)):
+            return None
+        if new == x:
+            return tuple(x)
+        if any(collapsed(prev, new) for prev in history):
+            return (F(0),) * n
+        history.append(tuple(new))
+        if len(history) > 24:
+            history.pop(0)
+        x = new
+    raise SweepCapExceeded
+
+
+def greatest_solution_sweep(n, equations, upper, cap=None):
+    """Greatest solution at or below ``upper`` by the rational sweep."""
+    if not equations:
+        return tuple(upper)
+    return _run_sweep(n, equations, upper, sweep_cap(n, equations) if cap is None else cap)
+
+
+def interval_contains(iv, v):
+    lo, hi, lo_closed, hi_closed = iv
+    return (lo < v or (v == lo and lo_closed)) and (v < hi or (v == hi and hi_closed))
+
+
+def enumeration_pool(n, equations, intervals):
+    """Bounds times up to n-1 coefficient ratios, or None past 120 values."""
+    coeffs = sorted({c for l, r in equations for c in (*l, *r) if c > 0})
+    bounds = sorted({b for lo, hi, _, _ in intervals for b in (lo, hi) if b > 0})
+    if not bounds:
+        return [F(0)]
+    ratios = sorted({a / b for a in coeffs for b in coeffs}) if coeffs else [F(1)]
+    lo = min(iv[0] for iv in intervals)
+    hi = max(iv[1] for iv in intervals)
+    values = set(bounds)
+    frontier = set(bounds)
+    for _ in range(max(n - 1, 0)):
+        nxt = {v * r for v in frontier for r in ratios if lo <= v * r <= hi} - values
+        values |= nxt
+        frontier = nxt
+        if len(values) > 120:
+            return None
+    values.add(F(0))
+    return sorted(values)
+
+
+def enumeration_search(n, equations, intervals):
+    """(complete, witness) over the pool, in the library's search order."""
+    values = enumeration_pool(n, equations, intervals)
+    if values is None:
+        return False, None
+    per_coord = []
+    total = 1
+    for iv in intervals:
+        cand = [v for v in values if interval_contains(iv, v)]
+        if not cand:
+            return True, None
+        per_coord.append(cand)
+        total *= len(cand)
+        if total > 400_000:
+            return False, None
+    return True, grid_feasible(equations, per_coord)
+
+
+def feasible_in_box_sweep(n, equations, intervals):
+    """(status, witness) of the box feasibility decision by the rational sweep.
+
+    Raises SweepCapExceeded where the cap is hit and the enumeration is not
+    attempted.
+    """
+    if not equations:
+        return "feasible", tuple(
+            lo if lo_closed else (lo + hi) / 2 for lo, hi, lo_closed, _ in intervals
+        )
+    lower = [iv[0] for iv in intervals]
+    try:
+        g = _run_sweep(n, equations, [iv[1] for iv in intervals], sweep_cap(n, equations), lower)
+    except SweepCapExceeded:
+        complete, witness = enumeration_search(n, equations, intervals)
+        if witness is not None:
+            return "feasible", witness
+        if not complete:
+            raise
+        closed = all(iv[2] and iv[3] for iv in intervals)
+        return ("infeasible" if closed else "unknown_strict_boundary"), None
+    if g is None:
+        return "infeasible", None
+    for v, (lo, _, lo_closed, _) in zip(g, intervals):
+        if v < lo or (v == lo and not lo_closed):
+            return "infeasible", None
+    if not any(not hi_closed and v == hi for v, (_, hi, _, hi_closed) in zip(g, intervals)):
+        return "feasible", g
+    c_min = max([lo / v for v, (lo, _, _, _) in zip(g, intervals) if lo > 0], default=F(0))
+    if c_min < 1:
+        scaled = tuple((c_min + 1) / 2 * v for v in g)
+        if all(interval_contains(iv, v) for iv, v in zip(intervals, scaled)):
+            return "feasible", scaled
+    _, witness = enumeration_search(n, equations, intervals)
+    if witness is not None:
+        return "feasible", witness
+    return "unknown_strict_boundary", None

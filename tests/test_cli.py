@@ -184,6 +184,17 @@ def test_malformed_file_exits_2(tmp_path):
     assert run(float_entry, output=out) == 2
 
 
+def test_inadmissible_matrix_exits_2(tmp_path, capsys):
+    problem = write_problem(
+        tmp_path,
+        {"kind": "attraction_check", "matrix": [["1", "1"], ["0", "1"]], "vector": ["1", "1"]},
+    )
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 2
+    assert not out.exists()
+    assert "not completely reducible" in capsys.readouterr().err
+
+
 def test_internal_error_exits_4(tmp_path, monkeypatch):
     import maxcirc.cli as cli
     from maxcirc import InternalError

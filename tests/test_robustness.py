@@ -7,6 +7,7 @@ import pytest
 from maxcirc import (
     Box,
     Circulant,
+    InternalError,
     IntervalCirculant,
     MaxVector,
     ScalarInterval,
@@ -21,6 +22,7 @@ from maxcirc import (
     implication_violations,
     in_attraction_cone,
 )
+from maxcirc import robustness
 
 IC_31 = IntervalCirculant.of([(0, 0), (0, 0), (1, 1), ("1/4", "1/2")])
 
@@ -101,6 +103,13 @@ def test_decompose_examples():
     zero_upper = Box.of([(0, 0), (0, 1)])
     with pytest.raises(ValueError):
         decompose_in_box(MaxVector.of([0, 1]), zero_upper)
+
+
+def test_failed_reconstruction_is_an_internal_error(monkeypatch):
+    box = Box.of([(1, 2), (0, 1)])
+    monkeypatch.setattr(robustness, "corner_vector", lambda box, k: MaxVector.zeros(box.n))
+    with pytest.raises(InternalError):
+        decompose_in_box(MaxVector.of([1, 1]), box)
 
 
 def test_classify_degenerate_instance_all_yes():

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from maxcirc import (
     Box,
     IterationCapExceeded,
@@ -167,3 +171,111 @@ def test_feasibility_matches_grid_oracle_on_random_systems():
 def test_max_form_accumulates_by_max():
     v = max_form(3, [(1, 1), (1, "1/2"), (2, "1/4")])
     assert v == MaxVector.of([1, "1/4", 0])
+
+
+# --- differential checks against the rational sweep in bruteforce.py ---------
+
+# Mixed denominators, so each equation is scaled by a different lcm, and zeros,
+# so some terms drop out and some sides are empty.
+COEFFS = [F(0), F(1, 3), F(2, 7), F(3, 4), F(1), F(2)]
+BOUNDS = [F(0), F(1, 3), F(2, 7), F(3, 4), F(1), F(3, 2)]
+DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def systems(draw, max_n=4):
+    """(n, raw equations), possibly with no equations at all."""
+    n = draw(st.integers(1, max_n))
+    side = st.tuples(*[st.sampled_from(COEFFS)] * n)
+    return n, draw(st.lists(st.tuples(side, side), max_size=3))
+
+
+@st.composite
+def intervals(draw):
+    lo, hi = sorted(draw(st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2)))
+    brackets = draw(st.sampled_from(["[]", "[)", "(]", "()"])) if lo < hi else "[]"
+    return lo, hi, brackets[0] == "[", brackets[1] == "]"
+
+
+def vectors(n):
+    return st.tuples(*[st.sampled_from(BOUNDS)] * n)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_satisfies_agrees_with_the_rational_oracle(data):
+    n, eqs = data.draw(systems())
+    x = data.draw(vectors(n))
+    assert satisfies(TwoSidedSystem.of(n, eqs), MaxVector(x)) == bf.holds(eqs, x)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_greatest_solution_agrees_with_the_rational_sweep(data):
+    n, eqs = data.draw(systems())
+    upper = data.draw(vectors(n))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 4)))
+    try:
+        want = bf.greatest_solution_sweep(n, eqs, upper, cap)
+    except bf.SweepCapExceeded:
+        with pytest.raises(IterationCapExceeded):
+            greatest_solution_leq(TwoSidedSystem.of(n, eqs), MaxVector(upper), cap)
+        return
+    assert greatest_solution_leq(TwoSidedSystem.of(n, eqs), MaxVector(upper), cap).entries == want
+
+
+def check_box_feasibility(n, eqs, ivs, split):
+    box = Box(tuple(ScalarInterval(*iv) for iv in ivs))
+    whole = TwoSidedSystem.of(n, eqs)
+    try:
+        want = bf.feasible_in_box_sweep(n, eqs, ivs)
+    except bf.SweepCapExceeded:
+        with pytest.raises(IterationCapExceeded):
+            feasible_in_box(whole, box)
+        return
+    parts = [TwoSidedSystem.of(n, eqs[:split]), TwoSidedSystem.of(n, eqs[split:])]
+    for res in (feasible_in_box(whole, box), simultaneous_feasible(parts, box)):
+        assert (res.status, res.witness and res.witness.entries) == want
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_box_feasibility_agrees_with_the_rational_sweep(data):
+    n, eqs = data.draw(systems())
+    ivs = data.draw(st.lists(intervals(), min_size=n, max_size=n))
+    check_box_feasibility(n, eqs, ivs, data.draw(st.integers(0, len(eqs))))
+
+
+def _q(text):
+    return tuple(F(v) for v in text.split())
+
+
+# Outcomes about 1 in 100 random draws reach: the iteration cap with each
+# fallback result, and a strict boundary the sweep cannot decide.
+@pytest.mark.parametrize(
+    "eqs, ivs",
+    [
+        (  # cap, then the enumeration finds a witness
+            [(_q("1 3/4"), _q("1 2")), (_q("2 1"), _q("2 1")), (_q("0 1/3"), _q("0 3/4"))],
+            [(F(3, 4), F(3, 2), False, False), (F(0), F(3, 4), True, False)],
+        ),
+        (  # cap, then an empty enumeration in a box that is not closed
+            [(_q("2 1/3 2"), _q("2/7 1 2")), (_q("3/4 0 0"), _q("1 2/7 0"))],
+            [(F(0), F(3, 2), False, True), (F(0), F(0), True, True), (F(0), F(1), True, True)],
+        ),
+        (  # cap, and the enumeration pool is too large to search
+            [
+                (_q("2 1 2/7"), _q("3/4 1 2/7")),
+                (_q("1/3 2 0"), _q("0 2/7 0")),
+                (_q("3/4 2/7 3/4"), _q("0 2 3/4")),
+            ],
+            [(F(0), F(1, 3), False, True), (F(0), F(1, 3), True, False), (F(3, 4), F(3, 2), False, False)],
+        ),
+        (  # the sweep stabilizes, but a strict bound blocks the witness
+            [(_q("3/4 1/3 2/7"), _q("0 1 0")), (_q("2 3/4 2"), _q("1 2/7 2"))],
+            [(F(1), F(3, 2), True, True), (F(2, 7), F(3, 4), False, False), (F(3, 4), F(1), True, True)],
+        ),
+    ],
+)
+def test_box_feasibility_agrees_on_rare_outcomes(eqs, ivs):
+    check_box_feasibility(len(ivs), eqs, ivs, 1)
