@@ -26,6 +26,7 @@ from .core import (
     InternalError,
     MaxMatrix,
     MaxVector,
+    kleene_sum,
     mat_mul,
     mat_power,
 )
@@ -151,12 +152,7 @@ def kleene_star(a: MaxMatrix) -> MaxMatrix:
     cm = max_cycle_mean(a)
     if cm is not None and not pair_leq_scalar(cm.as_pair(), ONE):
         raise ValueError("Kleene star undefined: maximum cycle mean exceeds 1")
-    acc = MaxMatrix.identity(a.n)
-    p = MaxMatrix.identity(a.n)
-    for _ in range(a.n - 1):
-        p = mat_mul(p, a)
-        acc = acc.entrywise_max(p)
-    return acc
+    return kleene_sum(a)
 
 
 def is_kleene_star(a: MaxMatrix) -> bool:
@@ -223,11 +219,12 @@ def _as_matrix(m: Circulant | MaxMatrix) -> MaxMatrix:
     return expand(m) if isinstance(m, Circulant) else m
 
 
-def _membership_test(m: Circulant | MaxMatrix):
+def _membership_test(m: Circulant | MaxMatrix, system: TwoSidedSystem | None = None):
+    """Membership in the attraction cone of ``m``; ``system`` is its system if built."""
     if isinstance(m, Circulant):
         if m.is_zero():
             return lambda x: True
-        system = attraction_system(m)
+        system = system if system is not None else attraction_system(m)
         return lambda x: satisfies(system, x)
     mat = m
     if mat.is_zero():
@@ -281,7 +278,11 @@ def check_attraction_inclusion(
     if ma.n != mb.n:
         raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {mb.n}")
     n = ma.n
-    in_a = _membership_test(a)
+    # A circulant's system serves both its membership test and the sampling
+    # below; a general matrix's is built only once sampling starts, because
+    # building it can raise (irrational eigenvalue).
+    system_a = attraction_system(a) if isinstance(a, Circulant) and not a.is_zero() else None
+    in_a = _membership_test(a, system_a)
     in_b = _membership_test(b)
     rng = random.Random(seed)
 
@@ -314,11 +315,8 @@ def check_attraction_inclusion(
 
     entries = sorted({v for row in ma.rows for v in row if v > 0})
     pool = sorted({x / y for x in entries for y in entries} | {ONE})
-    system_a = (
-        attraction_system(a)
-        if isinstance(a, Circulant)
-        else attraction_system_for_matrix(ma)
-    )
+    if system_a is None:
+        system_a = attraction_system_for_matrix(ma)
     for trial in range(trials):
         upper = MaxVector(tuple(rng.choice(pool) for _ in range(n)))
         try:

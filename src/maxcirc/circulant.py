@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import DimensionMismatch, InternalError, MaxMatrix, ScalarLike, as_scalar
+from .core import (
+    DimensionMismatch,
+    InternalError,
+    MaxMatrix,
+    ScalarLike,
+    as_scalar,
+    power_by_squaring,
+)
 from .digraph import digraph_cyclicity, threshold_digraph
 
 
@@ -80,18 +87,7 @@ def circ_mul(c: Circulant, d: Circulant) -> Circulant:
 
 def circ_power(c: Circulant, t: int) -> Circulant:
     """t-th power on defining rows by repeated squaring (t = 0 gives identity)."""
-    if t < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = Circulant.identity(c.n)
-    base = c
-    e = t
-    while e > 0:
-        if e & 1:
-            result = circ_mul(result, base)
-        e >>= 1
-        if e:
-            base = circ_mul(base, base)
-    return result
+    return power_by_squaring(c, t, circ_mul, Circulant.identity(c.n))
 
 
 def circ_lambda(c: Circulant) -> Fraction:

@@ -19,8 +19,9 @@ Problem kinds (the "kind" field selects one):
 
 Exit codes: 0 success; 2 unreadable/invalid input, including a matrix outside
 the admissible class (not completely reducible, or without one positive
-maximum cycle mean shared by its components); 3 analysis ran but every
-classifier answered hypothesis_not_met; 4 internal cross-check failure.
+maximum cycle mean shared by its components), or an invalid flag value (a
+negative trials count, decimals outside 0..MAX_DECIMALS); 3 analysis ran but
+every classifier answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from .core import InternalError, MaxMatrix, MaxVector, as_scalar
 from .digraph import critical_structure
 from .intervals import Box, ScalarInterval
 from .periodicity import NotAdmissible, orbit_period, transient_and_period
-from .robustness import IntervalCirculant, classify
+from .robustness import IntervalCirculant, classify, envelope_circulant, envelope_in_interval
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
+MAX_DECIMALS = 10_000  # display-only renderings; larger requests are input errors
 
 
 class ProblemError(ValueError):
@@ -65,8 +67,11 @@ def _fmt_vector(x: MaxVector) -> list:
 
 
 def _fmt_decimal(q: Fraction, places: int) -> str:
-    scaled = q * 10**places
-    return f"{float(scaled) / 10 ** places:.{places}f}"
+    """``q`` rounded half-to-even to ``places`` decimal places, computed exactly."""
+    if places == 0:
+        return str(round(q))
+    digits = str(round(q * 10**places)).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 def _parse_scalar(value, where: str) -> Fraction:
@@ -197,8 +202,6 @@ def _robustness_classify(problem: dict, flags: dict) -> dict:
     if ic.n != box.n:
         raise ProblemError("interval_circulant and box sizes differ")
     report = classify(ic, box)
-    from .robustness import envelope_circulant, envelope_in_interval
-
     results = {
         name: {"status": verdict.status, "reason": verdict.reason}
         for name, verdict in report.as_dict().items()
@@ -232,6 +235,10 @@ def run(
             raise ProblemError(f"unsupported arithmetic mode: {arithmetic!r}")
         if mode not in ("min_transient", "exact_n2"):
             raise ProblemError(f"unsupported mode: {mode!r}")
+        if trials < 0:
+            raise ProblemError(f"trials must be nonnegative: got {trials}")
+        if decimals is not None and not 0 <= decimals <= MAX_DECIMALS:
+            raise ProblemError(f"decimals must be in 0..{MAX_DECIMALS}: got {decimals}")
         try:
             text = Path(problem_path).read_text()
         except OSError as exc:

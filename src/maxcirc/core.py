@@ -165,6 +165,23 @@ class MaxMatrix:
         return f"MaxMatrix[{body}]"
 
 
+def power_by_squaring(base, t: int, mul, identity):
+    """``base`` to the t-th power under the associative product ``mul``.
+
+    Repeated squaring; ``t == 0`` returns ``identity``.
+    """
+    if t < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = None
+    while t > 0:
+        if t & 1:
+            result = base if result is None else mul(result, base)
+        t >>= 1
+        if t:
+            base = mul(base, base)
+    return identity if result is None else result
+
+
 def mat_mul(a: MaxMatrix, b: MaxMatrix) -> MaxMatrix:
     """Max-times matrix product: entry (i,k) is max over j of a[i,j]*b[j,k]."""
     if a.n != b.n:
@@ -184,18 +201,16 @@ def mat_power(a: MaxMatrix, t: int) -> MaxMatrix:
     ``t == 0`` returns the identity matrix; this is an extension for caller
     convenience (the product of an empty sequence of factors).
     """
-    if t < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = MaxMatrix.identity(a.n)
-    base = a
-    e = t
-    while e > 0:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
+    return power_by_squaring(a, t, mat_mul, MaxMatrix.identity(a.n))
+
+
+def kleene_sum(a: MaxMatrix) -> MaxMatrix:
+    """I + A + A^2 + ... + A^(n-1), computed as (I + A)^(n-1).
+
+    The two agree because max, the semiring addition, is idempotent.  No
+    cycle-mean condition is checked here.
+    """
+    return mat_power(a.entrywise_max(MaxMatrix.identity(a.n)), a.n - 1)
 
 
 def mat_vec(a: MaxMatrix, x: MaxVector) -> MaxVector:

