@@ -16,9 +16,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Literal, Sequence
 
-from .circulant import Circulant, circ_spectral, expand
+from .circulant import (
+    Circulant,
+    circ_lambda,
+    circ_mul,
+    circ_period,
+    circ_power,
+    circ_spectral,
+    expand,
+)
 from .core import (
     ONE,
     ZERO,
@@ -34,8 +43,13 @@ from .digraph import max_cycle_mean, pair_leq_scalar
 from .periodicity import orbit_period, transient_and_period
 from .twosided import (
     IterationCapExceeded,
+    Scaled,
     TwoSidedSystem,
-    greatest_solution_leq,
+    _greatest,
+    _holds,
+    _reduced,
+    _scaled,
+    _vector,
     satisfies,
 )
 
@@ -95,14 +109,11 @@ def attraction_system(c: Circulant, mode: Mode = "min_transient") -> TwoSidedSys
     solution set with smaller coefficients.  The zero circulant yields the
     empty system (the attraction cone is the whole space).
     """
+    if mode not in ("exact_n2", "min_transient"):
+        raise ValueError(f"unknown mode: {mode!r}")
     if c.is_zero():
         return TwoSidedSystem(c.n, ())
-    a = expand(c)
-    if mode == "exact_n2":
-        return attraction_system_for_matrix(a, t=c.n * c.n)
-    if mode == "min_transient":
-        return attraction_system_for_matrix(a, t=None)
-    raise ValueError(f"unknown mode: {mode!r}")
+    return attraction_system_for_matrix(expand(c), t=c.n * c.n if mode == "exact_n2" else None)
 
 
 def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
@@ -220,37 +231,53 @@ def _as_matrix(m: Circulant | MaxMatrix) -> MaxMatrix:
 
 
 def _membership_test(m: Circulant | MaxMatrix, system: TwoSidedSystem | None = None):
-    """Membership in the attraction cone of ``m``; ``system`` is its system if built."""
+    """Membership of a ray, given by integer numerators, in the attraction cone of ``m``.
+
+    ``system`` is the attraction system of a circulant ``m`` if already built.
+    Cones are scale invariant, so the numerators stand for the whole ray.
+    """
+    if m.is_zero():
+        return lambda nums: True
     if isinstance(m, Circulant):
-        if m.is_zero():
-            return lambda x: True
-        system = system if system is not None else attraction_system(m)
-        return lambda x: satisfies(system, x)
-    mat = m
-    if mat.is_zero():
-        return lambda x: True
-    return lambda x: in_attraction_cone_matrix(mat, x)
+        eqs = (system if system is not None else attraction_system(m))._scaled_equations
+        return lambda nums: _holds(eqs, nums)
+    return lambda nums: in_attraction_cone_matrix(m, MaxVector(tuple(map(Fraction, nums))))
 
 
-def _period_window_eigenvectors(a: MaxMatrix) -> list[MaxVector]:
+def _period_window_eigenvectors(m: Circulant | MaxMatrix) -> list[MaxVector]:
     """One eigenvector per coordinate: max over a full period window of columns.
 
     With T the transient and p the period, the entrywise max of the columns
     of (A/lambda)^T .. (A/lambda)^(T+p-1) is an eigenvector, hence a member
     of the attraction cone.  Normalization is skipped (cones are scale
     invariant), so this stays exact whenever lambda is rational.
+
+    Past the transient the window's set of powers does not depend on where
+    it starts, so a nonzero circulant starts it at n^2 (never below its
+    transient) and takes every power on defining rows: lambda is the largest
+    entry and p comes from the gcd formulas.
     """
-    cm = max_cycle_mean(a)
+    if isinstance(m, Circulant):
+        n = m.n
+        lam = circ_lambda(m)
+        scaled = Circulant(tuple(v / lam for v in m.row))
+        power = circ_power(scaled, n * n)
+        window = power.row
+        for _ in range(circ_period(m) - 1):
+            power = circ_mul(power, scaled)
+            window = tuple(map(max, window, power.row))
+        columns = (tuple(window[(j - i) % n] for i in range(n)) for j in range(n))
+        return [MaxVector(col) for col in columns if any(col)]
+    cm = max_cycle_mean(m)
     if cm is None or cm.value is None:
         return []
-    lam = cm.value
-    info = transient_and_period(a)
-    scaled = a.scale(ONE / lam)
+    info = transient_and_period(m)
+    scaled = m.scale(ONE / cm.value)
     powers = [mat_power(scaled, info.transient)]
     for _ in range(info.period - 1):
         powers.append(mat_mul(powers[-1], scaled))
     out = []
-    for j in range(a.n):
+    for j in range(m.n):
         col = powers[0].column(j)
         for p in powers[1:]:
             col = col.max_with(p.column(j))
@@ -273,7 +300,13 @@ def check_attraction_inclusion(
     ``a``), and random max-combinations of members already found.  Each member
     is tested against the second cone; the first failure is returned as a
     counterexample, otherwise the verdict is consistent for this sample.
+
+    Vectors are integer numerators over one denominator throughout.  Both
+    systems are homogeneous, so a ray (a vector up to positive scaling) that
+    was already tested gets the same answer, and is answered from a memo.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative: got {trials}")
     ma, mb = _as_matrix(a), _as_matrix(b)
     if ma.n != mb.n:
         raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {mb.n}")
@@ -286,48 +319,59 @@ def check_attraction_inclusion(
     in_b = _membership_test(b)
     rng = random.Random(seed)
 
-    members: list[MaxVector] = []
+    members: list[Scaled] = []
+    inside: dict[tuple[int, ...], bool] = {}  # ray -> in both cones (False: outside a)
     tested = 0
 
-    def probe(x: MaxVector) -> MaxVector | None:
+    def probe(x: Scaled) -> MaxVector | None:
         nonlocal tested
-        if x.is_zero() or not in_a(x):
+        g = gcd(*x[0])
+        if not g:
+            return None
+        ray = tuple(v // g for v in x[0])
+        known = inside.get(ray)
+        if known is None:
+            known = inside[ray] = in_a(ray)
+            if known and not in_b(ray):
+                tested += 1
+                return _vector(x)
+        if not known:
             return None
         tested += 1
-        if not in_b(x):
-            return x
         members.append(x)
         return None
 
     if ma.is_zero():
         # Attraction cone of the zero matrix is the whole space.
-        probes = [MaxVector.unit(n, i) for i in range(n)]
-        for x in probes:
-            bad = probe(x)
+        for i in range(n):
+            bad = probe((tuple(int(i == j) for j in range(n)), 1))
             if bad is not None:
                 return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
         return InclusionVerdict(True, None, trials_run=0, members_tested=tested)
 
-    for v in _period_window_eigenvectors(ma):
-        bad = probe(v)
+    for v in _period_window_eigenvectors(a):
+        bad = probe(_scaled(v.entries))
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
     entries = sorted({v for row in ma.rows for v in row if v > 0})
-    pool = sorted({x / y for x in entries for y in entries} | {ONE})
+    pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))
     if system_a is None:
         system_a = attraction_system_for_matrix(ma)
+    cap = system_a.iteration_cap
     for trial in range(trials):
-        upper = MaxVector(tuple(rng.choice(pool) for _ in range(n)))
+        upper = _reduced([rng.choice(pool_nums) for _ in range(n)], pool_den)
         try:
-            g = greatest_solution_leq(system_a, upper)
+            g = _greatest(system_a, upper, cap)
         except IterationCapExceeded:
             continue
         candidates = [g]
         if len(members) >= 2:
-            u = rng.choice(members)
-            v = rng.choice(members)
-            candidates.append(u.scale(rng.choice(pool)).max_with(v.scale(rng.choice(pool))))
+            (un, ud), (vn, vd) = rng.choice(members), rng.choice(members)
+            cu, cv = rng.choice(pool_nums) * vd, rng.choice(pool_nums) * ud
+            candidates.append(
+                _reduced([max(cu * x, cv * y) for x, y in zip(un, vn)], ud * vd * pool_den)
+            )
         for x in candidates:
             bad = probe(x)
             if bad is not None:

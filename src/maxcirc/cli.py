@@ -37,7 +37,6 @@ from .attraction import (
     attraction_system,
     attraction_system_for_matrix,
     check_attraction_inclusion,
-    in_attraction_cone,
     in_attraction_cone_matrix,
 )
 from .circulant import Circulant, circ_spectral, expand
@@ -46,6 +45,7 @@ from .digraph import critical_structure
 from .intervals import Box, ScalarInterval
 from .periodicity import NotAdmissible, orbit_period, transient_and_period
 from .robustness import IntervalCirculant, classify, envelope_circulant, envelope_in_interval
+from .twosided import satisfies
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -157,8 +157,8 @@ def _attraction_check(problem: dict, flags: dict) -> dict:
     if isinstance(operand, Circulant):
         if operand.n != x.n:
             raise ProblemError("vector length differs from circulant size")
-        member = in_attraction_cone(operand, x, mode=flags["mode"])
         system = attraction_system(operand, mode=flags["mode"])
+        member = satisfies(system, x)
         matrix = expand(operand)
     else:
         if operand.n != x.n:

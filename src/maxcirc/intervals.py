@@ -71,10 +71,14 @@ class ScalarInterval:
         return True
 
     def interior_point(self) -> Fraction:
-        """Some element of the interval, preferring the lower closure bound."""
+        """Some element of the interval, preferring the lower closure bound.
+
+        A closed lower end lies below an open upper end, because a degenerate
+        interval is closed on both sides; an open lower end forces
+        lower < upper, so the midpoint lies strictly inside.
+        """
         if self.lower_closed:
             return self.lower
-        # Open at the bottom forces lower < upper (nonempty invariant).
         return (self.lower + self.upper) / 2
 
     def __repr__(self) -> str:
@@ -126,10 +130,4 @@ class Box:
 
     def interior_point(self) -> MaxVector:
         """A point of the box: lower corner when closed, nudged inward where open."""
-        out = []
-        for iv in self.intervals:
-            v = iv.interior_point()
-            if not iv.upper_closed and v == iv.upper:  # cannot happen, kept as guard
-                v = (iv.lower + iv.upper) / 2
-            out.append(v)
-        return MaxVector(tuple(out))
+        return MaxVector(tuple(iv.interior_point() for iv in self.intervals))

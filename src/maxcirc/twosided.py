@@ -22,7 +22,9 @@ corner-candidate enumeration at small sizes when the cap is hit.
 The arithmetic is exact and on Python ints: each equation is multiplied by
 the lcm of its coefficient denominators (its solution set is unchanged) and
 keeps its nonzero terms, and an iterate is a tuple of numerators over one
-shared denominator, reduced by their gcd after every sweep.
+shared denominator, reduced by their gcd after every sweep.  Each side is
+stored gathered, as an ``itemgetter`` over its indices and a tuple of
+coefficients, so evaluating it is one ``max(map(mul, ...))``.
 
 No polynomial-time claim is made for any of this.
 """
@@ -34,13 +36,18 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .core import ONE, ZERO, DimensionMismatch, InternalError, MaxVector, ScalarLike, as_scalar
 from .intervals import Box
 
-# A sparse side of an integer-scaled equation: (0-based index, coefficient > 0).
+# Sparse terms of an integer-scaled equation: (0-based index, coefficient > 0).
 Terms = tuple[tuple[int, int], ...]
+# A gathered side: a getter of its variables and their coefficients.
+Gathered = tuple[itemgetter, tuple[int, ...]]
+# An integer-scaled equation: gathered lhs, gathered rhs, the terms of both.
+ScaledEquation = tuple[itemgetter, tuple[int, ...], itemgetter, tuple[int, ...], Terms]
 # An iterate: numerators over one shared denominator.
 Scaled = tuple[tuple[int, ...], int]
 
@@ -79,8 +86,8 @@ class TwoSidedSystem:
         return max(10 * self.n * max(len(self._coefficients), 1), 60)
 
     @cached_property
-    def _scaled_equations(self) -> tuple[tuple[Terms, Terms, Terms], ...]:
-        """Each equation, scaled to integers, as sparse (lhs, rhs, lhs + rhs) terms."""
+    def _scaled_equations(self) -> tuple[ScaledEquation, ...]:
+        """Each equation, scaled to integers: gathered lhs and rhs, then the terms of both."""
         out = []
         for l, r in self.equations:
             scale = lcm(*(c.denominator for c in (*l.entries, *r.entries)))
@@ -88,7 +95,7 @@ class TwoSidedSystem:
                 tuple((j, c.numerator * (scale // c.denominator)) for j, c in enumerate(side) if c)
                 for side in (l.entries, r.entries)
             )
-            out.append((lhs, rhs, lhs + rhs))
+            out.append((*_gathered(lhs), *_gathered(rhs), lhs + rhs))
         return tuple(out)
 
 
@@ -108,10 +115,26 @@ def max_form(n: int, terms: Iterable[tuple[int, ScalarLike]]) -> MaxVector:
     return MaxVector(tuple(coeffs))
 
 
+def _gathered(terms: Terms) -> Gathered:
+    """Getter and coefficients of a side, padded to two terms with zero coefficients.
+
+    With at least two indices ``itemgetter`` always returns a tuple, and a
+    zero coefficient adds nothing to the max; an empty side evaluates to 0.
+    """
+    padded = terms + ((0, 0),) * (2 - len(terms))
+    return itemgetter(*(j for j, _ in padded)), tuple(c for _, c in padded)
+
+
 def _scaled(values: Sequence[Fraction]) -> Scaled:
     """Numerators over the lcm of the denominators (already in lowest terms)."""
     den = lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
+def _reduced(nums: Sequence[int], den: int) -> Scaled:
+    """The same vector with numerators and denominator divided by their gcd."""
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
 
 
 def _vector(x: Scaled) -> MaxVector:
@@ -119,12 +142,11 @@ def _vector(x: Scaled) -> MaxVector:
     return MaxVector(tuple(Fraction(v, den) for v in nums))
 
 
-def _side(terms: Terms, nums: Sequence[int]) -> int:
-    return max([c * nums[j] for j, c in terms], default=0)
-
-
-def _holds(eqs, nums: Sequence[int]) -> bool:
-    return all(_side(lhs, nums) == _side(rhs, nums) for lhs, rhs, _ in eqs)
+def _holds(eqs: Sequence[ScaledEquation], nums: Sequence[int]) -> bool:
+    return all(
+        max(map(mul, lc, lget(nums))) == max(map(mul, rc, rget(nums)))
+        for lget, lc, rget, rc, _ in eqs
+    )
 
 
 def satisfies(system: TwoSidedSystem, x: MaxVector) -> bool:
@@ -143,16 +165,14 @@ def _sweep(eqs, x: Scaled) -> Scaled:
     nums, old_den = x
     num = list(nums)
     den = [1] * len(nums)
-    for lhs, rhs, both in eqs:
-        t = min(_side(lhs, nums), _side(rhs, nums))
+    for lget, lc, rget, rc, both in eqs:
+        t = min(max(map(mul, lc, lget(nums))), max(map(mul, rc, rget(nums))))
         for j, c in both:
             if t * den[j] < num[j] * c:  # t / c < num[j] / den[j]
                 num[j] = t
                 den[j] = c
     scale = lcm(*den)
-    num = [v * (scale // d) for v, d in zip(num, den)]
-    g = gcd(scale * old_den, *num)
-    return tuple(v // g for v in num), scale * old_den // g
+    return _reduced([v * (scale // d) for v, d in zip(num, den)], scale * old_den)
 
 
 def _collapsed(prev: Scaled, new: Scaled) -> bool:
@@ -172,15 +192,15 @@ def _collapsed(prev: Scaled, new: Scaled) -> bool:
 
 
 def _fixpoint(
-    system: TwoSidedSystem, upper: MaxVector, cap: int, lower: MaxVector | None = None
+    system: TwoSidedSystem, upper: Scaled, cap: int, lower: MaxVector | None = None
 ) -> Scaled | None:
-    """Sweep from ``upper`` to the greatest solution below it.
+    """Sweep from ``upper`` (gcd-reduced) to the greatest solution below it.
 
     Every solution below ``upper`` stays below each iterate, so an iterate
     that drops below ``lower`` proves there is none at or above it: then None.
     """
     lows = [(lo.numerator, lo.denominator) for lo in (() if lower is None else lower.entries)]
-    x = _scaled(upper.entries)
+    x = upper
     history = [x]
     for _ in range(cap):
         new = _sweep(system._scaled_equations, x)
@@ -198,6 +218,16 @@ def _fixpoint(
     raise IterationCapExceeded(f"no stabilization within {cap} sweeps")
 
 
+def _greatest(system: TwoSidedSystem, upper: Scaled, cap: int) -> Scaled:
+    """Greatest solution at or below a gcd-reduced integer ``upper``, checked."""
+    if not system.equations:
+        return upper
+    result = _fixpoint(system, upper, cap)
+    if not _holds(system._scaled_equations, result[0]):
+        raise InternalError("stabilized iterate does not solve the system")
+    return result
+
+
 def greatest_solution_leq(
     system: TwoSidedSystem,
     upper: MaxVector,
@@ -211,13 +241,8 @@ def greatest_solution_leq(
     """
     if upper.n != system.n:
         raise DimensionMismatch(f"upper size {upper.n} vs system width {system.n}")
-    if not system.equations:
-        return upper
     cap = system.iteration_cap if iteration_cap is None else iteration_cap
-    result = _vector(_fixpoint(system, upper, cap))
-    if not satisfies(system, result):
-        raise InternalError("stabilized iterate does not solve the system")
-    return result
+    return _vector(_greatest(system, _scaled(upper.entries), cap))
 
 
 # --- feasibility in a box ----------------------------------------------------
@@ -267,7 +292,9 @@ def feasible_in_box(system: TwoSidedSystem, box: Box) -> FeasibilityResult:
         return _finish_feasible(system, box, box.interior_point())
 
     try:
-        x = _fixpoint(system, box.closure_upper(), system.iteration_cap, box.closure_lower())
+        x = _fixpoint(
+            system, _scaled(box.closure_upper().entries), system.iteration_cap, box.closure_lower()
+        )
     except IterationCapExceeded as exc:
         complete, witness = _exhaustive_search(system, box)
         if witness is not None:

@@ -9,6 +9,7 @@ comparison are independent.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -339,3 +340,87 @@ def feasible_in_box_sweep(n, equations, intervals):
     if witness is not None:
         return "feasible", witness
     return "unknown_strict_boundary", None
+
+
+# --- attraction-cone inclusion: the sampler on plain Fractions ------------------
+#
+# The library's inclusion sampler, step for step, on raw tuples: the same random
+# draws in the same order, greatest solutions by the rational sweep above, and
+# membership by evaluating the defining equations.  The library runs it on
+# integer numerators and answers repeated rays from a memo; the verdicts must
+# be equal, counterexample included.
+
+
+def period_window(a, lam):
+    """Columns of the entrywise max of (A/lam)^T .. (A/lam)^(T+p-1), zero ones dropped."""
+    n = len(a)
+    bound = 2 * ((n - 1) ** 2 + 1 + n)
+    transient, period = minimal_transient_period(a, lam, bound)
+    chain = power_chain(a, transient + period - 1)
+    window = [
+        [max(chain[t][i][j] / lam**t for t in range(transient, transient + period)) for j in range(n)]
+        for i in range(n)
+    ]
+    columns = [tuple(window[i][j] for i in range(n)) for j in range(n)]
+    return [col for col in columns if any(col)]
+
+
+def inclusion_sample(a, equations_a, equations_b, trials, seed):
+    """(consistent, counterexample, trials_run, members_tested) of the sampled check.
+
+    ``a`` is the raw matrix of the first operand, whose eigenvalue must be its
+    largest entry (true of every circulant); ``equations_a`` and
+    ``equations_b`` define the two attraction cones, None for the whole space
+    (a zero matrix).
+    """
+    n = len(a)
+    members = []
+    tested = 0
+
+    def inside(equations, x):
+        return equations is None or holds(equations, x)
+
+    def probe(x):
+        nonlocal tested
+        if not any(x) or not inside(equations_a, x):
+            return None
+        tested += 1
+        if not inside(equations_b, x):
+            return x
+        members.append(x)
+        return None
+
+    if equations_a is None:
+        for i in range(n):
+            bad = probe(tuple(F(int(i == j)) for j in range(n)))
+            if bad is not None:
+                return False, bad, 0, tested
+        return True, None, 0, tested
+
+    lam = max(v for row in a for v in row)
+    w, l = best_cycle_mean(a)
+    assert w == lam**l, "the oracle needs the eigenvalue to be the largest entry"
+    for v in period_window(a, lam):
+        bad = probe(v)
+        if bad is not None:
+            return False, bad, 0, tested
+
+    rng = random.Random(seed)
+    entries = sorted({v for row in a for v in row if v > 0})
+    pool = sorted({x / y for x in entries for y in entries} | {F(1)})
+    for trial in range(trials):
+        upper = tuple(rng.choice(pool) for _ in range(n))
+        try:
+            g = greatest_solution_sweep(n, equations_a, upper)
+        except SweepCapExceeded:
+            continue
+        candidates = [g]
+        if len(members) >= 2:
+            u, v = rng.choice(members), rng.choice(members)
+            cu, cv = rng.choice(pool), rng.choice(pool)
+            candidates.append(tuple(max(cu * x, cv * y) for x, y in zip(u, v)))
+        for x in candidates:
+            bad = probe(x)
+            if bad is not None:
+                return False, bad, trial + 1, tested
+    return True, None, trials, tested

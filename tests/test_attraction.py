@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcirc import (
     Circulant,
@@ -26,6 +28,7 @@ from maxcirc import (
     reduced_attraction_system,
     satisfies,
 )
+from maxcirc.attraction import _period_window_eigenvectors
 
 import bruteforce as bf
 
@@ -77,6 +80,12 @@ def test_attraction_system_of_zero_is_empty():
     s = attraction_system(Circulant.of([0, 0, 0]))
     assert s.equations == ()
     assert in_attraction_cone(Circulant.of([0, 0, 0]), MaxVector.of([1, 2, 3]))
+
+
+def test_attraction_system_rejects_an_unknown_mode_for_every_circulant():
+    for c in (Circulant.of([0, 0, 0]), A31):
+        with pytest.raises(ValueError, match="unknown mode"):
+            attraction_system(c, mode="bogus")
 
 
 def test_attraction_system_of_six_cycle_forces_all_equal():
@@ -258,6 +267,22 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     assert len(built) == 2 and set(built) == {a, b}
 
 
+def test_inclusion_rejects_negative_trials():
+    a = Circulant.of([0, 0, 1, "1/4"])
+    b = Circulant.of([0, 0, 1, "1/2"])
+    with pytest.raises(ValueError, match="trials"):
+        check_attraction_inclusion(a, b, trials=-5)
+    assert check_attraction_inclusion(a, b, trials=0).trials_run == 0
+
+
+def test_circulant_eigenvector_window_equals_matrix_window():
+    rng = random.Random(56)
+    pool = [0, F(1, 3), F(2, 7), F(3, 4), 1, 2]
+    for _ in range(40):
+        c = random_nonzero_circulant(rng, rng.randint(1, 7), pool)
+        assert _period_window_eigenvectors(c) == _period_window_eigenvectors(expand(c))
+
+
 def test_inclusion_finds_counterexample_for_general_pair():
     verdict = check_attraction_inclusion(EX21_A, EX21_B, trials=200, seed=0)
     assert not verdict.consistent
@@ -288,3 +313,46 @@ def test_matrix_attraction_system_needs_rational_eigenvalue():
         attraction_system_for_matrix(irrational)
     # membership still decides through the orbit period
     assert not in_attraction_cone_matrix(irrational, MaxVector.of([1, 1]))
+
+
+# --- the sampler against the Fraction copy in bruteforce.py ------------------
+
+ENTRIES = [F(0), F(1, 3), F(2, 7), F(3, 4), F(1), F(2)]
+
+
+@st.composite
+def inclusion_operands(draw):
+    """Two operands of one size: circulants (zero ones too, and dominated
+    pairs, which run many trials) or the general pair of Example 2.1."""
+    kind = draw(st.sampled_from(["random", "dominated", "zero", "general"]))
+    if kind == "general":
+        return draw(st.sampled_from([(EX21_A, EX21_B), (EX21_B, EX21_A), (EX21_A, A31), (A31, EX21_B)]))
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
+    a, b = draw(row), draw(row)
+    if kind == "zero":
+        a, b = draw(st.sampled_from([([0] * n, b), (a, [0] * n), ([0] * n, [0] * n)]))
+    elif kind == "dominated" and any(b):
+        top = max(b)
+        a = [v if v == top else draw(st.sampled_from([u for u in ENTRIES if u <= v])) for v in b]
+        if draw(st.booleans()):
+            a, b = b, a
+    return Circulant.of(a), Circulant.of(b)
+
+
+def oracle_equations(m):
+    if m.is_zero():
+        return None
+    system = attraction_system(m) if isinstance(m, Circulant) else attraction_system_for_matrix(m)
+    return eq_tuples(system)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(inclusion_operands(), st.integers(0, 60), st.integers(0, 3))
+def test_inclusion_verdict_equals_the_fraction_sampler(operands, trials, seed):
+    a, b = operands
+    got = check_attraction_inclusion(a, b, trials=trials, seed=seed)
+    rows = expand(a).rows if isinstance(a, Circulant) else a.rows
+    want = bf.inclusion_sample(rows, oracle_equations(a), oracle_equations(b), trials, seed)
+    counterexample = got.counterexample.entries if got.counterexample else None
+    assert (got.consistent, counterexample, got.trials_run, got.members_tested) == want

@@ -86,6 +86,33 @@ def test_attraction_check_matrix_path(tmp_path):
     assert read_report(out)["results"]["member"] is True
 
 
+def test_attraction_check_builds_the_circulant_system_once(tmp_path, monkeypatch):
+    import maxcirc.attraction as attraction
+    import maxcirc.cli as cli
+
+    built = []
+    original = attraction.attraction_system
+
+    def counting(c, mode="min_transient"):
+        built.append(c)
+        return original(c, mode)
+
+    monkeypatch.setattr(attraction, "attraction_system", counting)
+    monkeypatch.setattr(cli, "attraction_system", counting)
+    problem = write_problem(
+        tmp_path,
+        {
+            "kind": "attraction_check",
+            "circulant": ["0", "0", "1", "1/2"],
+            "vector": ["1/2", "1", "1/4", "1"],
+        },
+    )
+    out = tmp_path / "report.json"
+    assert run(problem, mode="exact_n2", output=out) == 0
+    assert read_report(out)["results"]["member"] is True
+    assert len(built) == 1
+
+
 def test_inclusion_check_counterexample(tmp_path):
     problem = write_problem(
         tmp_path,

@@ -116,6 +116,13 @@ def test_simultaneous_feasible():
     assert empty.witness == box.closure_lower()
 
 
+def test_box_interior_point_is_inside_for_every_bracket_form():
+    for brackets in ("[]", "[)", "(]", "()"):
+        box = Box.of([(0, 1, brackets), ("1/3", "3/4", brackets), (2, 2)])
+        assert box.contains(box.interior_point())
+    assert Box.of([(0, 1, "[)"), ("1/3", "3/4", "(]")]).interior_point() == MaxVector.of([0, "13/24"])
+
+
 def test_strict_upper_bound_witness_is_scaled_inward():
     s = TwoSidedSystem.of(2, [((1, 0), (0, 1))])  # x1 == x2
     box = Box.of([ScalarInterval.of(0, 1, "[)"), ScalarInterval.of(0, 1, "[)")])
@@ -279,3 +286,25 @@ def _q(text):
 )
 def test_box_feasibility_agrees_on_rare_outcomes(eqs, ivs):
     check_box_feasibility(len(ivs), eqs, ivs, 1)
+
+
+# Sides with no terms and with one term: each side is padded to two terms for
+# the gathered evaluation, so these are the shapes the padding has to get right.
+SHORT_SIDES = [
+    (1, [((0,), (F(2),))]),  # one unknown: 0 == 2 x
+    (1, [((F(3, 4),), (F(3, 4),))]),
+    (2, [((0, 0), (F(1, 3), 0))]),  # empty lhs: forces x1 = 0
+    (2, [((0, F(2, 7)), (F(3, 4), 0))]),  # one term on each side
+    (3, [((0, 0, 0), (0, 0, 0)), ((F(1), 0, 0), (0, F(2), F(1, 3)))]),
+    (3, [((0, F(1, 3), 0), (F(1), F(3, 4), F(2))), ((0, 0, 0), (0, 0, F(2, 7)))]),
+]
+
+
+@pytest.mark.parametrize("n, eqs", SHORT_SIDES)
+def test_short_sides_agree_with_the_rational_oracle(n, eqs):
+    system = TwoSidedSystem.of(n, eqs)
+    for x in bf.grid_vectors(BOUNDS, n):
+        assert satisfies(system, MaxVector(x)) == bf.holds(eqs, x)
+        assert greatest_solution_leq(system, MaxVector(x)).entries == bf.greatest_solution_sweep(n, eqs, x)
+    ivs = [(F(0), F(1), True, False), (F(1, 3), F(3, 2), False, True), (F(2, 7), F(2, 7), True, True)][:n]
+    check_box_feasibility(n, eqs, ivs, 1)
