@@ -46,6 +46,7 @@ from .twosided import (
     Scaled,
     TwoSidedSystem,
     _greatest,
+    _greatest_in_span,
     _holds,
     _reduced,
     _scaled,
@@ -230,16 +231,15 @@ def _as_matrix(m: Circulant | MaxMatrix) -> MaxMatrix:
     return expand(m) if isinstance(m, Circulant) else m
 
 
-def _membership_test(m: Circulant | MaxMatrix, system: TwoSidedSystem | None = None):
+def _membership_test(m: Circulant | MaxMatrix):
     """Membership of a ray, given by integer numerators, in the attraction cone of ``m``.
 
-    ``system`` is the attraction system of a circulant ``m`` if already built.
     Cones are scale invariant, so the numerators stand for the whole ray.
     """
     if m.is_zero():
         return lambda nums: True
     if isinstance(m, Circulant):
-        eqs = (system if system is not None else attraction_system(m))._scaled_equations
+        eqs = attraction_system(m)._scaled_equations
         return lambda nums: _holds(eqs, nums)
     return lambda nums: in_attraction_cone_matrix(m, MaxVector(tuple(map(Fraction, nums))))
 
@@ -304,6 +304,8 @@ def check_attraction_inclusion(
     Vectors are integer numerators over one denominator throughout.  Both
     systems are homogeneous, so a ray (a vector up to positive scaling) that
     was already tested gets the same answer, and is answered from a memo.
+    Greatest solutions are read off the finite generating set of the first
+    cone when it is within its size limit, and come from the sweep otherwise.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
@@ -311,11 +313,11 @@ def check_attraction_inclusion(
     if ma.n != mb.n:
         raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {mb.n}")
     n = ma.n
-    # A circulant's system serves both its membership test and the sampling
-    # below; a general matrix's is built only once sampling starts, because
-    # building it can raise (irrational eigenvalue).
-    system_a = attraction_system(a) if isinstance(a, Circulant) and not a.is_zero() else None
-    in_a = _membership_test(a, system_a)
+    # Every vector probed for a circulant or zero ``a`` lies in its cone by
+    # construction: a checked greatest solution, a window eigenvector or a
+    # max-combination of members.  A general matrix's cone is defined by its
+    # orbit, not by the system sampled below, so that one is tested.
+    in_a = _membership_test(a) if isinstance(a, MaxMatrix) and not a.is_zero() else None
     in_b = _membership_test(b)
     rng = random.Random(seed)
 
@@ -331,7 +333,7 @@ def check_attraction_inclusion(
         ray = tuple(v // g for v in x[0])
         known = inside.get(ray)
         if known is None:
-            known = inside[ray] = in_a(ray)
+            known = inside[ray] = in_a is None or in_a(ray)
             if known and not in_b(ray):
                 tested += 1
                 return _vector(x)
@@ -356,13 +358,13 @@ def check_attraction_inclusion(
 
     entries = sorted({v for row in ma.rows for v in row if v > 0})
     pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))
-    if system_a is None:
-        system_a = attraction_system_for_matrix(ma)
+    system_a = attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(ma)
+    spanned = system_a._generators is not None
     cap = system_a.iteration_cap
     for trial in range(trials):
         upper = _reduced([rng.choice(pool_nums) for _ in range(n)], pool_den)
         try:
-            g = _greatest(system_a, upper, cap)
+            g = _greatest_in_span(system_a, upper) if spanned else _greatest(system_a, upper, cap)
         except IterationCapExceeded:
             continue
         candidates = [g]

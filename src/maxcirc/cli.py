@@ -19,9 +19,11 @@ Problem kinds (the "kind" field selects one):
 
 Exit codes: 0 success; 2 unreadable/invalid input, including a matrix outside
 the admissible class (not completely reducible, or without one positive
-maximum cycle mean shared by its components), or an invalid flag value (a
-negative trials count, decimals outside 0..MAX_DECIMALS); 3 analysis ran but
-every classifier answered hypothesis_not_met; 4 internal cross-check failure.
+maximum cycle mean shared by its components), an inclusion check whose
+operands differ in size or whose ``a`` has an irrational eigenvalue, or an
+invalid flag value (a negative trials count, decimals outside
+0..MAX_DECIMALS); 3 analysis ran but every classifier answered
+hypothesis_not_met; 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .attraction import (
 )
 from .circulant import Circulant, circ_spectral, expand
 from .core import InternalError, MaxMatrix, MaxVector, as_scalar
-from .digraph import critical_structure
+from .digraph import critical_structure, max_cycle_mean
 from .intervals import Box, ScalarInterval
 from .periodicity import NotAdmissible, orbit_period, transient_and_period
 from .robustness import IntervalCirculant, classify, envelope_circulant, envelope_in_interval
@@ -177,6 +179,11 @@ def _attraction_check(problem: dict, flags: dict) -> dict:
 def _inclusion_check(problem: dict, flags: dict) -> dict:
     a = _parse_matrix_operand(problem.get("a"), "a")
     b = _parse_matrix_operand(problem.get("b"), "b")
+    if a.n != b.n:
+        raise ProblemError(f"a and b sizes differ: {a.n} vs {b.n}")
+    if isinstance(a, MaxMatrix) and (cm := max_cycle_mean(a)) is not None and cm.value is None:
+        # The sampler draws from a's attraction system, which needs a rational eigenvalue.
+        raise ProblemError("a: the eigenvalue is irrational, so the attraction system is undefined")
     verdict = check_attraction_inclusion(a, b, trials=flags["trials"], seed=flags["seed"])
     return {
         "verdict": "consistent" if verdict.consistent else "counterexample",

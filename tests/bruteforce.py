@@ -186,6 +186,18 @@ def minimal_transient_period(a, lam, bound):
     return transient, period
 
 
+def span_greatest(generators, x):
+    """Greatest element of the max-span of ``generators`` at or below ``x``.
+
+    Each generator enters scaled by the largest factor that keeps it below x.
+    """
+    best = [F(0)] * len(x)
+    for g in generators:
+        c = min(F(v) / w for v, w in zip(x, g) if w)
+        best = [max(b, c * w) for b, w in zip(best, g)]
+    return tuple(best)
+
+
 # --- two-sided systems: the rational residuation sweep ---------------------------
 #
 # A plain-Fraction copy of the library's greatest-solution sweep and box

@@ -356,3 +356,22 @@ def test_inclusion_verdict_equals_the_fraction_sampler(operands, trials, seed):
     want = bf.inclusion_sample(rows, oracle_equations(a), oracle_equations(b), trials, seed)
     counterexample = got.counterexample.entries if got.counterexample else None
     assert (got.consistent, counterexample, got.trials_run, got.members_tested) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(inclusion_operands(), st.integers(0, 60), st.integers(0, 3))
+def test_inclusion_verdict_is_the_same_from_the_sweep(operands, trials, seed):
+    import maxcirc.twosided as twosided
+
+    a, b = operands
+    spanned = check_attraction_inclusion(a, b, trials=trials, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(twosided, "_GENERATOR_CANDIDATE_LIMIT", 0)
+        assert check_attraction_inclusion(a, b, trials=trials, seed=seed) == spanned
+
+
+def test_inclusion_past_the_generator_limit_samples_by_the_sweep():
+    wide = Circulant.of(["1/2", "1/4", "3/4", 0, 1, "1/2", "3/4", 0])
+    assert attraction_system(wide)._generators is None
+    verdict = check_attraction_inclusion(wide, wide, trials=30, seed=1)
+    assert verdict.consistent and verdict.trials_run == 30 and verdict.members_tested > 0

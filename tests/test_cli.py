@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from maxcirc.cli import MAX_DECIMALS, _fmt_decimal, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -221,6 +223,24 @@ def test_inadmissible_matrix_exits_2(tmp_path, capsys):
     assert run(problem, output=out) == 2
     assert not out.exists()
     assert "not completely reducible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ({"matrix": [["0", "1"], ["2", "0"]]}, {"circulant": ["0", "1"]}, "irrational"),
+        ({"matrix": [["1", "1"], ["0", "1"]]}, {"circulant": ["0", "1"]}, "not completely reducible"),
+        ({"circulant": ["0", "1"]}, {"matrix": [["1", "1"], ["0", "1"]]}, "not completely reducible"),
+        ({"circulant": ["0", "1", "1"]}, {"circulant": ["0", "1"]}, "sizes differ"),
+    ],
+)
+@pytest.mark.parametrize("trials", [0, 200])
+def test_unanswerable_inclusion_check_exits_2(tmp_path, capsys, a, b, message, trials):
+    problem = write_problem(tmp_path, {"kind": "inclusion_check", "a": a, "b": b})
+    out = tmp_path / "report.json"
+    assert run(problem, trials=trials, output=out) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
 
 
 CIRCULANT_ANALYSIS = {"kind": "circulant_analysis", "circulant": ["0", "1/2", "1"]}

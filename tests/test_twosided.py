@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +8,19 @@ from hypothesis import strategies as st
 
 from maxcirc import (
     Box,
+    Circulant,
     IterationCapExceeded,
     MaxVector,
     ScalarInterval,
     TwoSidedSystem,
+    attraction_system,
     feasible_in_box,
     greatest_solution_leq,
     max_form,
     satisfies,
     simultaneous_feasible,
 )
+from maxcirc.twosided import _greatest_in_span, _scaled, _vector
 
 import bruteforce as bf
 
@@ -308,3 +312,55 @@ def test_short_sides_agree_with_the_rational_oracle(n, eqs):
         assert greatest_solution_leq(system, MaxVector(x)).entries == bf.greatest_solution_sweep(n, eqs, x)
     ivs = [(F(0), F(1), True, False), (F(1, 3), F(3, 2), False, True), (F(2, 7), F(2, 7), True, True)][:n]
     check_box_feasibility(n, eqs, ivs, 1)
+
+
+# --- the finite generating set of the solution cone --------------------------
+
+
+@DIFFERENTIAL
+@given(systems())
+def test_cone_generators_are_extreme_solutions(system):
+    n, eqs = system
+    gens = TwoSidedSystem.of(n, eqs)._generators
+    for k, g in enumerate(gens):
+        assert bf.holds(eqs, g)
+        assert gcd(*g) == 1
+        assert bf.span_greatest(gens[:k] + gens[k + 1 :], g) != g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(systems(max_n=3))
+def test_cone_generators_span_exactly_the_grid_solutions(system):
+    n, eqs = system
+    gens = TwoSidedSystem.of(n, eqs)._generators
+    for x in bf.grid_vectors(BOUNDS, n):
+        assert (bf.span_greatest(gens, x) == x) == bf.holds(eqs, x)
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_greatest_solution_from_generators_agrees_with_the_rational_sweep(data):
+    n, eqs = data.draw(systems())
+    upper = data.draw(vectors(n))
+    try:
+        want = bf.greatest_solution_sweep(n, eqs, upper)
+    except bf.SweepCapExceeded:
+        return
+    assert _vector(_greatest_in_span(TwoSidedSystem.of(n, eqs), _scaled(upper))).entries == want
+
+
+def test_primitive_circulant_cone_is_the_all_ones_ray():
+    c = Circulant.of(["1/4", "2/3", "1/4", "1/4", 0])
+    assert attraction_system(c)._generators == ((1, 1, 1, 1, 1),)
+
+
+def test_generator_build_gives_up_past_the_candidate_limit(monkeypatch):
+    import maxcirc.twosided as twosided
+
+    wide = Circulant.of(["1/2", "1/4", "3/4", 0, 1, "1/2", "3/4", 0])
+    assert attraction_system(wide)._generators is None
+    monkeypatch.setattr(twosided, "_GENERATOR_CANDIDATE_LIMIT", 0)
+    assert attraction_system(Circulant.of(["1/4", "2/3", "1/4", "1/4", 0]))._generators is None
+    assert TwoSidedSystem.of(2, [((1, 0), (2, 0))])._generators is None
+    # A half-space that no generator violates forms no candidates.
+    assert TwoSidedSystem.of(2, [((1, "1/2"), (1, "1/2"))])._generators == ((1, 0), (0, 1))
