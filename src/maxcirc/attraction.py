@@ -297,9 +297,11 @@ def check_attraction_inclusion(
     Members of the first cone are generated three ways: eigenvectors built
     from a period window of normalized powers, greatest solutions of the
     defining system below randomized upper bounds (drawn from entry ratios of
-    ``a``), and random max-combinations of members already found.  Each member
-    is tested against the second cone; the first failure is returned as a
-    counterexample, otherwise the verdict is consistent for this sample.
+    ``a``), and random max-combinations of members already found.  Each
+    eigenvector and greatest solution is tested against the second cone; the
+    first failure is returned as a counterexample, otherwise the verdict is
+    consistent for this sample.  Both cones are max cones, so a
+    max-combination of members lies in both: it is counted and kept untested.
 
     Vectors are integer numerators over one denominator throughout.  Both
     systems are homogeneous, so a ray (a vector up to positive scaling) that
@@ -309,14 +311,14 @@ def check_attraction_inclusion(
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.n != mb.n:
-        raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {mb.n}")
+    ma = _as_matrix(a)
+    if ma.n != b.n:
+        raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {b.n}")
     n = ma.n
     # Every vector probed for a circulant or zero ``a`` lies in its cone by
-    # construction: a checked greatest solution, a window eigenvector or a
-    # max-combination of members.  A general matrix's cone is defined by its
-    # orbit, not by the system sampled below, so that one is tested.
+    # construction: a checked greatest solution or a window eigenvector.  A
+    # general matrix's cone is defined by its orbit, not by the system sampled
+    # below, so that one is tested.
     in_a = _membership_test(a) if isinstance(a, MaxMatrix) and not a.is_zero() else None
     in_b = _membership_test(b)
     rng = random.Random(seed)
@@ -367,15 +369,17 @@ def check_attraction_inclusion(
             g = _greatest_in_span(system_a, upper) if spanned else _greatest(system_a, upper, cap)
         except IterationCapExceeded:
             continue
-        candidates = [g]
+        combination = None
         if len(members) >= 2:
             (un, ud), (vn, vd) = rng.choice(members), rng.choice(members)
             cu, cv = rng.choice(pool_nums) * vd, rng.choice(pool_nums) * ud
-            candidates.append(
-                _reduced([max(cu * x, cv * y) for x, y in zip(un, vn)], ud * vd * pool_den)
+            combination = _reduced(
+                [max(cu * x, cv * y) for x, y in zip(un, vn)], ud * vd * pool_den
             )
-        for x in candidates:
-            bad = probe(x)
-            if bad is not None:
-                return InclusionVerdict(False, bad, trials_run=trial + 1, members_tested=tested)
+        bad = probe(g)
+        if bad is not None:
+            return InclusionVerdict(False, bad, trials_run=trial + 1, members_tested=tested)
+        if combination is not None:
+            tested += 1
+            members.append(combination)
     return InclusionVerdict(True, None, trials_run=trials, members_tested=tested)

@@ -39,7 +39,6 @@ from .attraction import (
     attraction_system,
     attraction_system_for_matrix,
     check_attraction_inclusion,
-    in_attraction_cone_matrix,
 )
 from .circulant import Circulant, circ_spectral, expand
 from .core import InternalError, MaxMatrix, MaxVector, as_scalar
@@ -131,8 +130,9 @@ def _circulant_analysis(problem: dict, flags: dict) -> dict:
         results["zero"] = True
         return results
     spectral = circ_spectral(c)
-    info = transient_and_period(expand(c))
-    structure = critical_structure(expand(c))
+    matrix = expand(c)
+    info = transient_and_period(matrix)
+    structure = critical_structure(matrix)
     results.update(
         {
             "zero": False,
@@ -156,19 +156,19 @@ def _circulant_analysis(problem: dict, flags: dict) -> dict:
 def _attraction_check(problem: dict, flags: dict) -> dict:
     operand = _parse_matrix_operand(problem, "problem")
     x = MaxVector(tuple(_parse_scalar_list(problem.get("vector"), "vector")))
+    if operand.n != x.n:
+        size = "circulant" if isinstance(operand, Circulant) else "matrix"
+        raise ProblemError(f"vector length differs from {size} size")
+    matrix = expand(operand) if isinstance(operand, Circulant) else operand
+    period = orbit_period(matrix, x) if not matrix.is_zero() else 1
     if isinstance(operand, Circulant):
-        if operand.n != x.n:
-            raise ProblemError("vector length differs from circulant size")
         system = attraction_system(operand, mode=flags["mode"])
         member = satisfies(system, x)
-        matrix = expand(operand)
     else:
-        if operand.n != x.n:
-            raise ProblemError("vector length differs from matrix size")
-        member = in_attraction_cone_matrix(operand, x)
+        # A general matrix's cone is defined by the orbit, as in
+        # ``in_attraction_cone_matrix``; the system is only counted.
         system = attraction_system_for_matrix(operand)
-        matrix = operand
-    period = orbit_period(matrix, x) if not matrix.is_zero() else 1
+        member = period == 1
     return {
         "member": member,
         "orbit_period": period,
@@ -263,7 +263,6 @@ def run(
             "mode": mode,
             "trials": trials,
             "seed": seed,
-            "arithmetic": arithmetic,
             "decimals": decimals,
         }
         results = _KINDS[kind](problem, flags)

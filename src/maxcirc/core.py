@@ -128,13 +128,6 @@ class MaxMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """0-based entry access."""
-        return self.rows[i][j]
-
-    def row(self, i: int) -> MaxVector:
-        return MaxVector(self.rows[i])
-
     def column(self, j: int) -> MaxVector:
         return MaxVector(tuple(r[j] for r in self.rows))
 

@@ -122,13 +122,15 @@ def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     return comps
 
 
+def _edges_within(g: Digraph, comps: list[tuple[int, ...]]) -> bool:
+    """Whether every edge of ``g`` joins two nodes of one of its SCCs ``comps``."""
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    return all(comp_of[i] == comp_of[j] for i, j in g.edges)
+
+
 def is_completely_reducible(g: Digraph) -> bool:
     """True iff every edge lies on a cycle, i.e. joins two nodes of one SCC."""
-    comp_of: dict[int, int] = {}
-    for k, comp in enumerate(strongly_connected_components(g)):
-        for v in comp:
-            comp_of[v] = k
-    return all(comp_of[i] == comp_of[j] for i, j in g.edges)
+    return _edges_within(g, strongly_connected_components(g))
 
 
 # --- maximum cycle mean ----------------------------------------------------
@@ -230,6 +232,18 @@ def _karp_class_in_scc(a: MaxMatrix, nodes: tuple[int, ...]) -> tuple[Fraction, 
     return best_class
 
 
+def component_cycle_means(a: MaxMatrix) -> tuple[bool, list[tuple[Fraction, int]]]:
+    """Complete reducibility and the cycle-mean class of each cyclic SCC.
+
+    One Tarjan pass over the associated digraph, then Karp inside each SCC
+    that has a cycle; the (w, l) classes are listed in SCC order.
+    """
+    g = associated_digraph(a)
+    comps = strongly_connected_components(g)
+    classes = [cls for comp in comps if (cls := _karp_class_in_scc(a, comp)) is not None]
+    return _edges_within(g, comps), classes
+
+
 def _lambda_class_and_critical_edges(
     a: MaxMatrix,
 ) -> tuple[tuple[Fraction, int], frozenset[tuple[int, int]]] | None:
@@ -241,10 +255,9 @@ def _lambda_class_and_critical_edges(
     so the usual Kleene-star criterion applies to it directly.
     """
     best: tuple[Fraction, int] | None = None
-    g = associated_digraph(a)
-    for comp in strongly_connected_components(g):
-        cls = _karp_class_in_scc(a, comp)
-        if cls is not None and (best is None or _pair_lt(best, cls)):
+    _, classes = component_cycle_means(a)
+    for cls in classes:
+        if best is None or _pair_lt(best, cls):
             best = cls
     if best is None:
         return None
@@ -350,6 +363,26 @@ def _component_cyclicity_and_classes(
     return sigma, classes
 
 
+def _cyclic_components(
+    g: Digraph,
+) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]]:
+    """(component, cyclicity, cyclic classes) for each SCC of ``g`` with an edge.
+
+    Rejects a digraph that is not completely reducible, for which cyclicity
+    is undefined.
+    """
+    comps = strongly_connected_components(g)
+    if not _edges_within(g, comps):
+        raise ValueError("cyclicity undefined: digraph is not completely reducible")
+    out = []
+    for comp in comps:
+        members = set(comp)
+        inside = sorted((u, v) for (u, v) in g.edges if u in members and v in members)
+        if inside:
+            out.append((comp, *_component_cyclicity_and_classes(comp, inside)))
+    return out
+
+
 def digraph_cyclicity(g: Digraph) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
     """Per-component cyclicities and their lcm, for a completely reducible digraph.
 
@@ -358,21 +391,10 @@ def digraph_cyclicity(g: Digraph) -> tuple[tuple[tuple[tuple[int, ...], int], ..
     are not completely reducible are rejected: cyclicity is defined only for
     strongly connected and completely reducible digraphs.
     """
-    if not is_completely_reducible(g):
-        raise ValueError("cyclicity undefined: digraph is not completely reducible")
-    per: list[tuple[tuple[int, ...], int]] = []
-    for comp in strongly_connected_components(g):
-        inside = [(u, v) for (u, v) in g.edges if u in comp and v in comp]
-        if not inside:
-            continue
-        sigma, _ = _component_cyclicity_and_classes(comp, sorted(inside))
-        per.append((comp, sigma))
+    per = tuple((comp, sigma) for comp, sigma, _ in _cyclic_components(g))
     if not per:
         raise ValueError("cyclicity undefined: digraph has no cycles")
-    overall = 1
-    for _, sigma in per:
-        overall = math.lcm(overall, sigma)
-    return tuple(per), overall
+    return per, math.lcm(*(sigma for _, sigma in per))
 
 
 def critical_structure(a: MaxMatrix) -> CriticalStructure:
@@ -384,30 +406,17 @@ def critical_structure(a: MaxMatrix) -> CriticalStructure:
     if found is None:
         raise ValueError("no critical structure: maximum cycle mean is zero")
     _, crit_edges = found
-    crit_nodes = frozenset(v for e in crit_edges for v in e)
-    sub = Digraph(a.n, crit_edges)
-    components = tuple(
-        comp
-        for comp in strongly_connected_components(sub)
-        if any((u, v) in crit_edges for u in comp for v in comp)
-    )
-    per_class: list[tuple[tuple[int, ...], ...]] = []
-    per_sigma: list[int] = []
-    for comp in components:
-        inside = sorted((u, v) for (u, v) in crit_edges if u in comp and v in comp)
-        sigma, classes = _component_cyclicity_and_classes(comp, inside)
-        per_sigma.append(sigma)
-        per_class.append(classes)
-    overall = 1
-    for sigma in per_sigma:
-        overall = math.lcm(overall, sigma)
+    # Every critical edge lies on a critical cycle, so the critical digraph is
+    # completely reducible.
+    cyclic = _cyclic_components(Digraph(a.n, crit_edges))
+    per_sigma = tuple(sigma for _, sigma, _ in cyclic)
     return CriticalStructure(
-        critical_nodes=crit_nodes,
+        critical_nodes=frozenset(v for e in crit_edges for v in e),
         critical_edges=crit_edges,
-        components=components,
-        cyclic_classes=tuple(per_class),
-        cyclicity_per_component=tuple(per_sigma),
-        global_cyclicity=overall,
+        components=tuple(comp for comp, _, _ in cyclic),
+        cyclic_classes=tuple(classes for _, _, classes in cyclic),
+        cyclicity_per_component=per_sigma,
+        global_cyclicity=math.lcm(*per_sigma),
     )
 
 

@@ -18,16 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
-from .circulant import Circulant, circ_period, circulant_row_of
+from .circulant import Circulant, circ_mul, circ_period, circulant_row_of
 from .core import InternalError, MaxMatrix, MaxVector, mat_mul, mat_vec
-from .digraph import (
-    _karp_class_in_scc,
-    associated_digraph,
-    is_completely_reducible,
-    pair_eq,
-    strongly_connected_components,
-)
+from .digraph import component_cycle_means, pair_eq
 
 # Hard stop for repeat detection.  The (n-1)^2+1 transient bound is proved
 # for circulants; general admissible matrices can exceed it (the transient
@@ -46,22 +41,23 @@ class PeriodicityInfo:
     period: int
 
 
-def _admissible_lambda_class(a: MaxMatrix) -> tuple[Fraction, int]:
+def _admissible_lambda_class(
+    a: MaxMatrix, row: tuple[Fraction, ...] | None
+) -> tuple[Fraction, int]:
     """Validate the admissibility preconditions; return the cycle-mean class.
 
     Requires complete reducibility and that every component with a cycle has
-    the same maximum cycle mean, which must be positive.
+    the same maximum cycle mean, which must be positive.  ``row`` is the
+    defining row when ``a`` is circulant, else None: a nonzero circulant
+    always qualifies, and its class is (largest row entry, 1).
     """
-    g = associated_digraph(a)
-    if not is_completely_reducible(g):
+    if row is not None and any(row):
+        return max(row), 1
+    reducible, classes = component_cycle_means(a)
+    if not reducible:
         raise NotAdmissible(
             "ultimate periodicity not guaranteed: matrix is not completely reducible"
         )
-    classes = []
-    for comp in strongly_connected_components(g):
-        cls = _karp_class_in_scc(a, comp)
-        if cls is not None:
-            classes.append(cls)
     if not classes:
         raise NotAdmissible("ultimate periodicity not guaranteed: maximum cycle mean is zero")
     first = classes[0]
@@ -82,18 +78,20 @@ def _entries_fingerprint(values: tuple[Fraction, ...], w: Fraction, l: int, t: i
     return tuple((v**l) / scale for v in values)
 
 
-def _detect_repeat(step, first, w: Fraction, l: int) -> tuple[int, int]:
+def _detect_repeat(step, first, entries, w: Fraction, l: int) -> tuple[int, int]:
     """First fingerprint repeat of a deterministically iterated state.
 
-    ``step`` advances the raw state; states are fingerprinted after
-    normalization, so a repeat at times (t1, t2) means the normalized states
-    coincide, giving transient t1 and period t2 - t1, both minimal.
+    ``step`` advances the raw state at time t to time t + 1, starting from
+    ``first`` at time 1, and ``entries`` reads a state's values.  States are
+    fingerprinted after normalization, so a repeat at times (t1, t2) means
+    the normalized states coincide, giving transient t1 and period t2 - t1,
+    both minimal.
     """
     seen: dict[tuple, int] = {}
     state = first
     t = 1
     while t <= HARD_DETECTION_CAP:
-        key = _entries_fingerprint(state, w, l, t)
+        key = _entries_fingerprint(entries(state), w, l, t)
         if key in seen:
             return seen[key], t - seen[key]
         seen[key] = t
@@ -102,43 +100,33 @@ def _detect_repeat(step, first, w: Fraction, l: int) -> tuple[int, int]:
     raise InternalError(f"no repetition within {HARD_DETECTION_CAP} steps")
 
 
+def _flat_entries(a: MaxMatrix) -> tuple[Fraction, ...]:
+    return tuple(v for r in a.rows for v in r)
+
+
 def transient_and_period(a: MaxMatrix) -> PeriodicityInfo:
     """Minimal transient and ultimate period of the normalized power sequence.
 
+    Powers of a circulant are circulants, so they are taken on defining rows.
     For circulant input the result is cross-checked against the closed-form
     period and the (n-1)^2+1 transient bound; failure of either check raises
     ``InternalError``.
     """
-    w, l = _admissible_lambda_class(a)
-    n = a.n
     row = circulant_row_of(a)
-    if row is not None:
-        # Powers of a circulant are circulants, so iterate on defining rows.
-        def step_row(r: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-            return tuple(max(r[i] * row[(k - i) % n] for i in range(n)) for k in range(n))
-
-        transient, period = _detect_repeat(step_row, row, w, l)
-    else:
-        def step_mat(rows) -> tuple[Fraction, ...]:
-            p = mat_mul(MaxMatrix(_unflatten(rows, n)), a)
-            return tuple(v for r in p.rows for v in r)
-
-        flat = tuple(v for r in a.rows for v in r)
-        transient, period = _detect_repeat(step_mat, flat, w, l)
-
-    if row is not None and any(v > 0 for v in row):
-        expected = circ_period(Circulant(row))
-        if period != expected:
-            raise InternalError(f"power period {period} != circulant formula period {expected}")
-        if transient > (n - 1) ** 2 + 1:
-            raise InternalError(
-                f"circulant transient {transient} exceeds the (n-1)^2+1 bound"
-            )
+    w, l = _admissible_lambda_class(a, row)
+    if row is None:
+        transient, period = _detect_repeat(lambda p: mat_mul(p, a), a, _flat_entries, w, l)
+        return PeriodicityInfo(transient=transient, period=period)
+    c = Circulant(row)
+    transient, period = _detect_repeat(lambda p: circ_mul(p, c), c, attrgetter("row"), w, l)
+    expected = circ_period(c)
+    if period != expected:
+        raise InternalError(f"power period {period} != circulant formula period {expected}")
+    if transient > (a.n - 1) ** 2 + 1:
+        raise InternalError(
+            f"circulant transient {transient} exceeds the (n-1)^2+1 bound"
+        )
     return PeriodicityInfo(transient=transient, period=period)
-
-
-def _unflatten(values: tuple[Fraction, ...], n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(values[i * n : (i + 1) * n] for i in range(n))
 
 
 def orbit_period(a: MaxMatrix, x: MaxVector) -> int:
@@ -150,10 +138,6 @@ def orbit_period(a: MaxMatrix, x: MaxVector) -> int:
     """
     if a.n != x.n:
         raise ValueError(f"matrix size {a.n} vs vector size {x.n}")
-    w, l = _admissible_lambda_class(a)
-
-    def step(entries: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return mat_vec(a, MaxVector(entries)).entries
-
-    _, period = _detect_repeat(step, mat_vec(a, x).entries, w, l)
+    w, l = _admissible_lambda_class(a, circulant_row_of(a))
+    _, period = _detect_repeat(lambda v: mat_vec(a, v), mat_vec(a, x), attrgetter("entries"), w, l)
     return period

@@ -1,0 +1,70 @@
+"""SCCs and cyclicities checked against networkx on small random digraphs."""
+
+from fractions import Fraction as F
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maxcirc import (
+    Digraph,
+    MaxMatrix,
+    associated_digraph,
+    critical_structure,
+    digraph_cyclicity,
+    is_completely_reducible,
+    max_cycle_mean,
+    strongly_connected_components,
+)
+
+nx = pytest.importorskip("networkx")
+
+# Repeated 1s make ties, so critical digraphs with several cycles are common.
+WEIGHTS = (0, 0, F(1, 2), 1, 1, 2)
+
+
+@st.composite
+def weighted_digraphs(draw) -> MaxMatrix:
+    n = draw(st.integers(1, 6))
+    return MaxMatrix.of(
+        [[draw(st.sampled_from(WEIGHTS)) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def nx_cyclicities(edges) -> dict[tuple[int, ...], int]:
+    """gcd of the simple-cycle lengths of each SCC of ``edges`` that has an edge."""
+    h = nx.DiGraph(list(edges))
+    out = {}
+    for comp in nx.strongly_connected_components(h):
+        sub = h.subgraph(comp)
+        if sub.number_of_edges():
+            out[tuple(sorted(comp))] = gcd(*(len(c) for c in nx.simple_cycles(sub)))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(weighted_digraphs())
+def test_scc_and_cyclicity_match_networkx(a):
+    n = a.n
+    g = associated_digraph(a)
+    h = nx.DiGraph()
+    h.add_nodes_from(range(1, n + 1))
+    h.add_edges_from(g.edges)
+    nx_comps = [tuple(sorted(c)) for c in nx.strongly_connected_components(h)]
+    assert sorted(strongly_connected_components(g)) == sorted(nx_comps)
+
+    comp_of = {v: k for k, comp in enumerate(nx_comps) for v in comp}
+    inside = frozenset((u, v) for u, v in g.edges if comp_of[u] == comp_of[v])
+    assert is_completely_reducible(g) == (inside == g.edges)
+    if inside:
+        per, overall = digraph_cyclicity(Digraph(n, inside))
+        want = nx_cyclicities(inside)
+        assert dict(per) == want
+        assert overall == lcm(*want.values())
+
+    if max_cycle_mean(a) is not None:
+        cs = critical_structure(a)
+        want = nx_cyclicities(cs.critical_edges)
+        assert dict(zip(cs.components, cs.cyclicity_per_component)) == want
+        assert cs.global_cyclicity == lcm(*want.values())

@@ -45,19 +45,25 @@ def test_two_step_circulant_transient():
 
 def test_matches_definition_scan_on_random_circulants():
     rng = random.Random(31)
-    pool = [0, F(1, 4), F(1, 2), 1]
-    for _ in range(20):
-        n = rng.randint(1, 6)
-        c = random_nonzero_circulant(rng, n, pool)
-        a = expand(c)
-        lam = circ_lambda(c)
-        scaled = tuple(tuple(v / lam for v in row) for row in a.rows)
-        info = transient_and_period(a)
-        bound = 2 * ((n - 1) ** 2 + 1 + n) + 4
-        assert bf.minimal_transient_period(scaled, F(1), bound) == (
-            info.transient,
-            info.period,
-        )
+    vector_rng = random.Random(33)
+    # The second pool has entries above 1 and mixed denominators, where Karp's
+    # cycle-mean class of the expanded matrix often has length above 1.
+    pools = [[0, F(1, 4), F(1, 2), 1], [0, F(1, 3), F(2, 7), F(1, 2), 1, 2]]
+    for pool in pools:
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            c = random_nonzero_circulant(rng, n, pool)
+            a = expand(c)
+            lam = circ_lambda(c)
+            scaled = tuple(tuple(v / lam for v in row) for row in a.rows)
+            info = transient_and_period(a)
+            bound = 2 * ((n - 1) ** 2 + 1 + n) + 4
+            assert bf.minimal_transient_period(scaled, F(1), bound) == (
+                info.transient,
+                info.period,
+            )
+            x = MaxVector.of([vector_rng.choice(pool) for _ in range(n)])
+            assert (orbit_period(a, x) == 1) == bf.orbit_member(a.rows, x.entries)
 
 
 def test_example_pair_of_general_matrices():
