@@ -114,7 +114,8 @@ def attraction_system(c: Circulant, mode: Mode = "min_transient") -> TwoSidedSys
         raise ValueError(f"unknown mode: {mode!r}")
     if c.is_zero():
         return TwoSidedSystem(c.n, ())
-    return attraction_system_for_matrix(expand(c), t=c.n * c.n if mode == "exact_n2" else None)
+    t = c.n * c.n if mode == "exact_n2" else transient_and_period(c).transient
+    return attraction_system_for_matrix(expand(c), t)
 
 
 def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
@@ -301,13 +302,13 @@ def check_attraction_inclusion(
     eigenvector and greatest solution is tested against the second cone; the
     first failure is returned as a counterexample, otherwise the verdict is
     consistent for this sample.  Both cones are max cones, so a
-    max-combination of members lies in both: it is counted and kept untested.
+    max-combination of members lies in both: it is counted, never formed.
 
-    Vectors are integer numerators over one denominator throughout.  Both
-    systems are homogeneous, so a ray (a vector up to positive scaling) that
-    was already tested gets the same answer, and is answered from a memo.
-    Greatest solutions are read off the finite generating set of the first
-    cone when it is within its size limit, and come from the sweep otherwise.
+    Vectors are integer numerators over one denominator throughout.  The
+    second cone is homogeneous, so a ray (a vector up to positive scaling)
+    already found in it is answered from a memo.  Greatest solutions are read
+    off the finite generating set of the first cone when it is within its
+    size limit, and come from the sweep otherwise.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
@@ -315,16 +316,15 @@ def check_attraction_inclusion(
     if ma.n != b.n:
         raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {b.n}")
     n = ma.n
-    # Every vector probed for a circulant or zero ``a`` lies in its cone by
-    # construction: a checked greatest solution or a window eigenvector.  A
-    # general matrix's cone is defined by its orbit, not by the system sampled
-    # below, so that one is tested.
-    in_a = _membership_test(a) if isinstance(a, MaxMatrix) and not a.is_zero() else None
+    # Every probe lies in the cone of ``a`` by construction: a unit vector
+    # when ``a`` is zero, a window eigenvector, or a greatest solution of its
+    # system, which ``_greatest`` and ``_greatest_in_span`` check.  For an
+    # admissible ``a`` that system's solution set is the cone, so only the
+    # cone of ``b`` is tested.
     in_b = _membership_test(b)
     rng = random.Random(seed)
 
-    members: list[Scaled] = []
-    inside: dict[tuple[int, ...], bool] = {}  # ray -> in both cones (False: outside a)
+    in_b_rays: set[tuple[int, ...]] = set()
     tested = 0
 
     def probe(x: Scaled) -> MaxVector | None:
@@ -332,17 +332,12 @@ def check_attraction_inclusion(
         g = gcd(*x[0])
         if not g:
             return None
-        ray = tuple(v // g for v in x[0])
-        known = inside.get(ray)
-        if known is None:
-            known = inside[ray] = in_a is None or in_a(ray)
-            if known and not in_b(ray):
-                tested += 1
-                return _vector(x)
-        if not known:
-            return None
         tested += 1
-        members.append(x)
+        ray = tuple(v // g for v in x[0])
+        if ray not in in_b_rays:
+            if not in_b(ray):
+                return _vector(x)
+            in_b_rays.add(ray)
         return None
 
     if ma.is_zero():
@@ -369,17 +364,18 @@ def check_attraction_inclusion(
             g = _greatest_in_span(system_a, upper) if spanned else _greatest(system_a, upper, cap)
         except IterationCapExceeded:
             continue
-        combination = None
-        if len(members) >= 2:
-            (un, ud), (vn, vd) = rng.choice(members), rng.choice(members)
-            cu, cv = rng.choice(pool_nums) * vd, rng.choice(pool_nums) * ud
-            combination = _reduced(
-                [max(cu * x, cv * y) for x, y in zip(un, vn)], ud * vd * pool_den
-            )
+        # A max-combination of two members with two pool coefficients lies in
+        # both cones, so it is counted and not formed.  Its four draws are
+        # still taken: they fix the upper bounds of the later trials.
+        combined = tested >= 2
+        if combined:
+            rng.randrange(tested)
+            rng.randrange(tested)
+            rng.choice(pool_nums)
+            rng.choice(pool_nums)
         bad = probe(g)
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=trial + 1, members_tested=tested)
-        if combination is not None:
+        if combined:
             tested += 1
-            members.append(combination)
     return InclusionVerdict(True, None, trials_run=trials, members_tested=tested)

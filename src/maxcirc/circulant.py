@@ -65,17 +65,6 @@ def expand(c: Circulant) -> MaxMatrix:
     )
 
 
-def circulant_row_of(a: MaxMatrix) -> tuple[Fraction, ...] | None:
-    """The defining row if ``a`` is circulant, else None."""
-    n = a.n
-    row = a.rows[0]
-    for i in range(1, n):
-        for j in range(n):
-            if a.rows[i][j] != row[(j - i) % n]:
-                return None
-    return row
-
-
 def circ_mul(c: Circulant, d: Circulant) -> Circulant:
     """Product of circulants, computed directly on defining rows in O(n^2)."""
     if c.n != d.n:

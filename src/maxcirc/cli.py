@@ -130,9 +130,8 @@ def _circulant_analysis(problem: dict, flags: dict) -> dict:
         results["zero"] = True
         return results
     spectral = circ_spectral(c)
-    matrix = expand(c)
-    info = transient_and_period(matrix)
-    structure = critical_structure(matrix)
+    info = transient_and_period(c)
+    structure = critical_structure(expand(c))
     results.update(
         {
             "zero": False,
@@ -159,8 +158,7 @@ def _attraction_check(problem: dict, flags: dict) -> dict:
     if operand.n != x.n:
         size = "circulant" if isinstance(operand, Circulant) else "matrix"
         raise ProblemError(f"vector length differs from {size} size")
-    matrix = expand(operand) if isinstance(operand, Circulant) else operand
-    period = orbit_period(matrix, x) if not matrix.is_zero() else 1
+    period = orbit_period(operand, x) if not operand.is_zero() else 1
     if isinstance(operand, Circulant):
         system = attraction_system(operand, mode=flags["mode"])
         member = satisfies(system, x)
@@ -232,14 +230,11 @@ def run(
     mode: str = "min_transient",
     trials: int = 200,
     seed: int = 0,
-    arithmetic: str = "rational",
     output: str | Path | None = None,
     decimals: int | None = None,
 ) -> int:
     """Process one problem file; returns the process exit code."""
     try:
-        if arithmetic != "rational":
-            raise ProblemError(f"unsupported arithmetic mode: {arithmetic!r}")
         if mode not in ("min_transient", "exact_n2"):
             raise ProblemError(f"unsupported mode: {mode!r}")
         if trials < 0:
@@ -276,7 +271,7 @@ def run(
     report = {
         "tool": {"name": "maxcirc", "version": __version__},
         "input": problem,
-        "flags": {"mode": mode, "trials": trials, "seed": seed, "arithmetic": arithmetic},
+        "flags": {"mode": mode, "trials": trials, "seed": seed, "arithmetic": "rational"},
         "results": results,
     }
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -304,12 +299,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--trials", type=int, default=200, help="sampling budget for inclusion checks")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled analyses")
-    parser.add_argument(
-        "--arithmetic",
-        choices=["rational"],
-        default="rational",
-        help="number system for all decisions (exact rational only)",
-    )
     parser.add_argument("--output", default=None, help="write the report here instead of stdout")
     parser.add_argument(
         "--decimals",
@@ -323,7 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         mode=args.mode,
         trials=args.trials,
         seed=args.seed,
-        arithmetic=args.arithmetic,
         output=args.output,
         decimals=args.decimals,
     )

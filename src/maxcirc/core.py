@@ -150,9 +150,6 @@ class MaxMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for r in self.rows for v in r)
 
-    def max_entry(self) -> Fraction:
-        return max(v for r in self.rows for v in r)
-
     def __repr__(self) -> str:
         body = "; ".join("(" + ", ".join(str(v) for v in row) + ")" for row in self.rows)
         return f"MaxMatrix[{body}]"

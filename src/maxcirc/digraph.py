@@ -72,53 +72,27 @@ def threshold_digraph(a: MaxMatrix, h: Fraction) -> Digraph:
 def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     """SCCs as sorted node tuples, listed in increasing order of smallest node.
 
-    Iterative Tarjan, deterministic for a given digraph.
+    Two nodes share a component exactly when each reaches the other; one
+    depth-first search per node finds the nodes it reaches.
     """
     succ = g.successors()
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
+    reach: dict[int, set[int]] = {}
+    for root in succ:
+        seen = {root}
+        stack = [root]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach[root] = seen
     comps: list[tuple[int, ...]] = []
-    counter = 0
-
-    for root in range(1, g.node_count + 1):
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if w not in index:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
+    assigned: set[int] = set()
+    for v in succ:
+        if v not in assigned:
+            comp = tuple(sorted(w for w in reach[v] if v in reach[w]))
+            comps.append(comp)
+            assigned.update(comp)
     return comps
 
 
@@ -235,7 +209,7 @@ def _karp_class_in_scc(a: MaxMatrix, nodes: tuple[int, ...]) -> tuple[Fraction, 
 def component_cycle_means(a: MaxMatrix) -> tuple[bool, list[tuple[Fraction, int]]]:
     """Complete reducibility and the cycle-mean class of each cyclic SCC.
 
-    One Tarjan pass over the associated digraph, then Karp inside each SCC
+    One SCC pass over the associated digraph, then Karp inside each SCC
     that has a cycle; the (w, l) classes are listed in SCC order.
     """
     g = associated_digraph(a)

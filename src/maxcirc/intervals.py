@@ -59,10 +59,6 @@ class ScalarInterval:
     def is_closed(self) -> bool:
         return self.lower_closed and self.upper_closed
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lower == self.upper
-
     def contains(self, v: Fraction) -> bool:
         if v < self.lower or (v == self.lower and not self.lower_closed):
             return False

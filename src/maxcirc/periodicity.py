@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .circulant import Circulant, circ_mul, circ_period, circulant_row_of
+from .circulant import Circulant, circ_mul, circ_period, expand
 from .core import InternalError, MaxMatrix, MaxVector, mat_mul, mat_vec
 from .digraph import component_cycle_means, pair_eq
 
@@ -41,19 +41,17 @@ class PeriodicityInfo:
     period: int
 
 
-def _admissible_lambda_class(
-    a: MaxMatrix, row: tuple[Fraction, ...] | None
-) -> tuple[Fraction, int]:
+def _admissible_lambda_class(a: Circulant | MaxMatrix) -> tuple[Fraction, int]:
     """Validate the admissibility preconditions; return the cycle-mean class.
 
     Requires complete reducibility and that every component with a cycle has
-    the same maximum cycle mean, which must be positive.  ``row`` is the
-    defining row when ``a`` is circulant, else None: a nonzero circulant
+    the same maximum cycle mean, which must be positive.  A nonzero circulant
     always qualifies, and its class is (largest row entry, 1).
     """
-    if row is not None and any(row):
-        return max(row), 1
-    reducible, classes = component_cycle_means(a)
+    if isinstance(a, Circulant):
+        reducible, classes = True, [] if a.is_zero() else [(max(a.row), 1)]
+    else:
+        reducible, classes = component_cycle_means(a)
     if not reducible:
         raise NotAdmissible(
             "ultimate periodicity not guaranteed: matrix is not completely reducible"
@@ -104,22 +102,19 @@ def _flat_entries(a: MaxMatrix) -> tuple[Fraction, ...]:
     return tuple(v for r in a.rows for v in r)
 
 
-def transient_and_period(a: MaxMatrix) -> PeriodicityInfo:
+def transient_and_period(a: Circulant | MaxMatrix) -> PeriodicityInfo:
     """Minimal transient and ultimate period of the normalized power sequence.
 
-    Powers of a circulant are circulants, so they are taken on defining rows.
-    For circulant input the result is cross-checked against the closed-form
-    period and the (n-1)^2+1 transient bound; failure of either check raises
-    ``InternalError``.
+    Powers of a ``Circulant`` are taken on defining rows, and the result is
+    cross-checked against the closed-form period and the (n-1)^2+1 transient
+    bound; failure of either check raises ``InternalError``.
     """
-    row = circulant_row_of(a)
-    w, l = _admissible_lambda_class(a, row)
-    if row is None:
+    w, l = _admissible_lambda_class(a)
+    if isinstance(a, MaxMatrix):
         transient, period = _detect_repeat(lambda p: mat_mul(p, a), a, _flat_entries, w, l)
         return PeriodicityInfo(transient=transient, period=period)
-    c = Circulant(row)
-    transient, period = _detect_repeat(lambda p: circ_mul(p, c), c, attrgetter("row"), w, l)
-    expected = circ_period(c)
+    transient, period = _detect_repeat(lambda p: circ_mul(p, a), a, attrgetter("row"), w, l)
+    expected = circ_period(a)
     if period != expected:
         raise InternalError(f"power period {period} != circulant formula period {expected}")
     if transient > (a.n - 1) ** 2 + 1:
@@ -129,7 +124,7 @@ def transient_and_period(a: MaxMatrix) -> PeriodicityInfo:
     return PeriodicityInfo(transient=transient, period=period)
 
 
-def orbit_period(a: MaxMatrix, x: MaxVector) -> int:
+def orbit_period(a: Circulant | MaxMatrix, x: MaxVector) -> int:
     """Minimal eventual period of the normalized orbit of ``x`` under ``a``.
 
     Equals 1 exactly when the orbit of x reaches an eigenvector (or the zero
@@ -138,6 +133,7 @@ def orbit_period(a: MaxMatrix, x: MaxVector) -> int:
     """
     if a.n != x.n:
         raise ValueError(f"matrix size {a.n} vs vector size {x.n}")
-    w, l = _admissible_lambda_class(a, circulant_row_of(a))
-    _, period = _detect_repeat(lambda v: mat_vec(a, v), mat_vec(a, x), attrgetter("entries"), w, l)
+    w, l = _admissible_lambda_class(a)
+    m = expand(a) if isinstance(a, Circulant) else a
+    _, period = _detect_repeat(lambda v: mat_vec(m, v), mat_vec(m, x), attrgetter("entries"), w, l)
     return period

@@ -383,10 +383,6 @@ class FeasibilityResult:
     status: str
     witness: MaxVector | None = None
 
-    @property
-    def is_feasible(self) -> bool:
-        return self.status == "feasible"
-
 
 def _finish_feasible(system: TwoSidedSystem, box: Box, witness: MaxVector) -> FeasibilityResult:
     if not satisfies(system, witness):

@@ -92,7 +92,7 @@ def best_cycle_mean(a):
 
 
 def scc_partition(n, edges):
-    """SCCs via the reachability closure (Warshall), independent of Tarjan."""
+    """SCCs via the reachability closure (Warshall), independent of the library's SCC search."""
     reach = [[False] * (n + 1) for _ in range(n + 1)]
     for i, j in edges:
         reach[i][j] = True

@@ -256,7 +256,7 @@ def test_criterion_07_transient_bound():
         for bits in itertools.product([0, 1], repeat=n):
             if not any(bits):
                 continue
-            info = transient_and_period(expand(Circulant.of(bits)))
+            info = transient_and_period(Circulant.of(bits))
             assert info.transient <= (n - 1) ** 2 + 1
             checked += 1
     rng = random.Random(1007)
@@ -267,7 +267,7 @@ def test_criterion_07_transient_bound():
         c = Circulant.of([rng.choice(pool) for _ in range(n)])
         if c.is_zero():
             continue
-        info = transient_and_period(expand(c))
+        info = transient_and_period(c)
         assert info.transient <= (n - 1) ** 2 + 1
         randoms += 1
     report(7, True, f"transient bound held on {checked} exhaustive + {randoms} random")

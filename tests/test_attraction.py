@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxcirc import (
@@ -150,6 +150,30 @@ def test_membership_tests_agree():
             assert by_system == satisfies(reduced, x)
             assert by_system == (orbit_period(a, x) == 1)
             assert by_system == bf.orbit_member(a.rows, x.entries)
+
+
+@st.composite
+def admissible_matrices(draw):
+    """Nonzero matrices with n <= 4 whose attraction system is defined."""
+    n = draw(st.integers(1, 4))
+    entries = st.sampled_from([F(0), F(0), F(1, 3), F(1, 2), F(1), F(2)])
+    a = MaxMatrix.of(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(not a.is_zero())
+    try:
+        return a, attraction_system_for_matrix(a)
+    except ValueError:  # not admissible, or an irrational eigenvalue
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(admissible_matrices())
+def test_system_of_a_general_matrix_defines_its_cone(case):
+    # The inclusion sampler leaves a general first operand's probes untested
+    # because each solves this system; the orbit is the definition of the cone.
+    a, system = case
+    for x in itertools.product([F(0), F(1, 2), F(1)], repeat=a.n):
+        x = MaxVector(x)
+        assert satisfies(system, x) == (orbit_period(a, x) == 1)
 
 
 def test_kleene_star_examples():

@@ -6,14 +6,12 @@ import pytest
 from maxcirc import (
     Circulant,
     DimensionMismatch,
-    MaxMatrix,
     circ_critical_components,
     circ_lambda,
     circ_mul,
     circ_period,
     circ_power,
     circ_spectral,
-    circulant_row_of,
     critical_structure,
     expand,
     mat_mul,
@@ -45,12 +43,6 @@ def test_expand_six_cycle_permutation():
     for i in range(6):
         for j in range(6):
             assert a.rows[i][j] == (1 if (j - i) % 6 == 1 else 0)
-
-
-def test_expand_round_trips_through_detection():
-    c = Circulant.of([0, "1/3", 1, 0, "1/3"])
-    assert circulant_row_of(expand(c)) == c.row
-    assert circulant_row_of(MaxMatrix.of([[0, 1], [1, 1]])) is None
 
 
 def test_circ_mul_examples():

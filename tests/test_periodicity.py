@@ -7,6 +7,7 @@ from maxcirc import (
     Circulant,
     MaxMatrix,
     MaxVector,
+    NotAdmissible,
     circ_lambda,
     circ_period,
     expand,
@@ -56,14 +57,37 @@ def test_matches_definition_scan_on_random_circulants():
             a = expand(c)
             lam = circ_lambda(c)
             scaled = tuple(tuple(v / lam for v in row) for row in a.rows)
-            info = transient_and_period(a)
+            info = transient_and_period(c)
             bound = 2 * ((n - 1) ** 2 + 1 + n) + 4
             assert bf.minimal_transient_period(scaled, F(1), bound) == (
                 info.transient,
                 info.period,
             )
             x = MaxVector.of([vector_rng.choice(pool) for _ in range(n)])
-            assert (orbit_period(a, x) == 1) == bf.orbit_member(a.rows, x.entries)
+            assert (orbit_period(c, x) == 1) == bf.orbit_member(a.rows, x.entries)
+
+
+def test_circulant_branch_matches_general_branch():
+    # The general branch, run on the expanded matrix, is the oracle for the
+    # circulant branch's class and its powers on defining rows.
+    rng = random.Random(34)
+    pool = [0, F(1, 3), F(2, 7), F(1, 2), 1, 2, F(5, 2)]
+    cases = [Circulant.of([0]), Circulant.of([0, 0, 0]), Circulant.of(["5/2"])]
+    cases += [Circulant.of([rng.choice(pool) for _ in range(rng.randint(1, 6))]) for _ in range(60)]
+    for c in cases:
+        a = expand(c)
+        x = MaxVector.of([rng.choice(pool) for _ in range(c.n)])
+        if c.is_zero():
+            for call in (transient_and_period, lambda m: orbit_period(m, x)):
+                messages = set()
+                for m in (c, a):
+                    with pytest.raises(NotAdmissible) as raised:
+                        call(m)
+                    messages.add(str(raised.value))
+                assert len(messages) == 1
+            continue
+        assert transient_and_period(c) == transient_and_period(a)
+        assert orbit_period(c, x) == orbit_period(a, x)
 
 
 def test_example_pair_of_general_matrices():
@@ -134,6 +158,6 @@ def test_circulant_sweep_period_and_transient_bound():
             if not any(bits):
                 continue
             c = Circulant.of(bits)
-            info = transient_and_period(expand(c))
+            info = transient_and_period(c)
             assert info.period == circ_period(c)
             assert info.transient <= (n - 1) ** 2 + 1
