@@ -7,8 +7,10 @@ admissible matrix it is exactly the solution set of the two-sided system
     lambda * A^t (x)  ==  A^(t+1) (x)      for any t at or past the transient,
 
 and for a circulant the exponent n^2 always works.  This module builds those
-systems, reduces them, decides membership, and samples attraction cones to
-test inclusion between two of them.
+systems, reduces them, decides membership, and checks inclusion between two
+attraction cones.  Inclusion is proved from the finite generating set of the
+first cone when that set is within its size limit and lies in the second
+cone; otherwise the cones are sampled for a counterexample.
 """
 
 from __future__ import annotations
@@ -220,7 +222,16 @@ def cancel_reduce(system: TwoSidedSystem) -> TwoSidedSystem:
 
 @dataclass(frozen=True)
 class InclusionVerdict:
-    """Outcome of a sampled attraction-cone inclusion check."""
+    """Outcome of an attraction-cone inclusion check.
+
+    ``consistent`` is a proof of inclusion when the generating set of the
+    first cone is within its size limit and lies in the second cone.
+    Otherwise it only means that no sampled member was a counterexample;
+    within the limit a generator outside the second cone already refutes
+    inclusion, but the sampler may miss it.  ``trials_run`` and
+    ``members_tested`` are the sampler's counts, also when the trials were
+    counted without being run.
+    """
 
     consistent: bool
     counterexample: MaxVector | None
@@ -301,8 +312,15 @@ def check_attraction_inclusion(
     ``a``), and random max-combinations of members already found.  Each
     eigenvector and greatest solution is tested against the second cone; the
     first failure is returned as a counterexample, otherwise the verdict is
-    consistent for this sample.  Both cones are max cones, so a
-    max-combination of members lies in both: it is counted, never formed.
+    consistent.  Both cones are max cones, so a max-combination of members
+    lies in both: it is counted, never formed.
+
+    After the eigenvectors, the generators of the first cone (when within
+    their size limit) are tested against the second.  When all of them pass,
+    the first cone is included in the second, so every trial would pass too:
+    the verdict is consistent and exact, and the trials are counted without
+    being run.  Otherwise the trials run and report the first counterexample
+    they reach, if any.
 
     Vectors are integer numerators over one denominator throughout.  The
     second cone is homogeneous, so a ray (a vector up to positive scaling)
@@ -327,18 +345,20 @@ def check_attraction_inclusion(
     in_b_rays: set[tuple[int, ...]] = set()
     tested = 0
 
+    def ray_in_b(ray: tuple[int, ...]) -> bool:
+        if ray not in in_b_rays:
+            if not in_b(ray):
+                return False
+            in_b_rays.add(ray)
+        return True
+
     def probe(x: Scaled) -> MaxVector | None:
         nonlocal tested
         g = gcd(*x[0])
         if not g:
             return None
         tested += 1
-        ray = tuple(v // g for v in x[0])
-        if ray not in in_b_rays:
-            if not in_b(ray):
-                return _vector(x)
-            in_b_rays.add(ray)
-        return None
+        return None if ray_in_b(tuple(v // g for v in x[0])) else _vector(x)
 
     if ma.is_zero():
         # Attraction cone of the zero matrix is the whole space.
@@ -353,10 +373,19 @@ def check_attraction_inclusion(
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
+    system_a = attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(ma)
+    generators = system_a._generators
+    if generators and all(map(ray_in_b, generators)):
+        # Every greatest solution is a max-combination of the generators, so
+        # it lies in the max cone of ``b``; below a positive upper bound it is
+        # a nonzero ray and is counted.  Each trial therefore adds one member,
+        # and one max-combination once two members are known; the draws only
+        # choose which members, so nothing is drawn.
+        members = tested + 2 * trials - max(0, min(trials, 2 - tested))
+        return InclusionVerdict(True, None, trials_run=trials, members_tested=members)
     entries = sorted({v for row in ma.rows for v in row if v > 0})
     pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))
-    system_a = attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(ma)
-    spanned = system_a._generators is not None
+    spanned = generators is not None
     cap = system_a.iteration_cap
     for trial in range(trials):
         upper = _reduced([rng.choice(pool_nums) for _ in range(n)], pool_den)

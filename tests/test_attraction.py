@@ -28,7 +28,7 @@ from maxcirc import (
     reduced_attraction_system,
     satisfies,
 )
-from maxcirc.attraction import _period_window_eigenvectors
+from maxcirc.attraction import InclusionVerdict, _period_window_eigenvectors
 
 import bruteforce as bf
 
@@ -153,9 +153,9 @@ def test_membership_tests_agree():
 
 
 @st.composite
-def admissible_matrices(draw):
-    """Nonzero matrices with n <= 4 whose attraction system is defined."""
-    n = draw(st.integers(1, 4))
+def admissible_matrices(draw, n=None):
+    """Nonzero matrices with n <= 4 (or of size ``n``) whose attraction system is defined."""
+    n = draw(st.integers(1, 4)) if n is None else n
     entries = st.sampled_from([F(0), F(0), F(1, 3), F(1, 2), F(1), F(2)])
     a = MaxMatrix.of(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
     assume(not a.is_zero())
@@ -291,6 +291,34 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     assert len(built) == 2 and set(built) == {a, b}
 
 
+@pytest.mark.parametrize(
+    "a, b, trials, seed, members",
+    [
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], 0, 0, 4),
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], 1, 0, 6),
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], 2, 0, 8),
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], 120, 2, 244),
+        ([0, "1/2", 1], [0, "1/2", 1], 60, 1, 123),
+        ([1], [1], 3, 0, 6),  # one window eigenvector: the first trial combines nothing
+    ],
+)
+def test_inclusion_is_decided_from_the_generators_without_trials(monkeypatch, a, b, trials, seed, members):
+    # Every generator of A's cone lies in B's, so no greatest solution is
+    # computed; the counts are those the sampled trials reach.
+    import maxcirc.attraction as attraction
+
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    a, b = Circulant.of(a), Circulant.of(b)
+    assert attraction_system(a)._generators is not None
+    monkeypatch.setattr(attraction, "_greatest_in_span", no_trials)
+    monkeypatch.setattr(attraction, "_greatest", no_trials)
+    assert check_attraction_inclusion(a, b, trials=trials, seed=seed) == InclusionVerdict(
+        True, None, trials_run=trials, members_tested=members
+    )
+
+
 def test_inclusion_rejects_negative_trials():
     a = Circulant.of([0, 0, 1, "1/4"])
     b = Circulant.of([0, 0, 1, "1/2"])
@@ -347,10 +375,23 @@ ENTRIES = [F(0), F(1, 3), F(2, 7), F(3, 4), F(1), F(2)]
 @st.composite
 def inclusion_operands(draw):
     """Two operands of one size: circulants (zero ones too, and dominated
-    pairs, which run many trials) or the general pair of Example 2.1."""
-    kind = draw(st.sampled_from(["random", "dominated", "zero", "general"]))
-    if kind == "general":
+    pairs, which run many trials), the general pair of Example 2.1, or
+    random admissible general matrices.  A general first operand has its
+    largest entry as eigenvalue, as the Fraction sampler requires; the
+    second has a rational eigenvalue, or is a circulant."""
+    kind = draw(st.sampled_from(["random", "dominated", "zero", "example", "general", "general"]))
+    if kind == "example":
         return draw(st.sampled_from([(EX21_A, EX21_B), (EX21_B, EX21_A), (EX21_A, A31), (A31, EX21_B)]))
+    if kind == "general":
+        a, _ = draw(admissible_matrices())
+        top = max(v for row in a.rows for v in row)
+        weight, length = bf.best_cycle_mean(a.rows)
+        assume(weight == top**length)
+        if draw(st.booleans()):
+            b, _ = draw(admissible_matrices(a.n))
+        else:
+            b = Circulant.of(draw(st.lists(st.sampled_from(ENTRIES), min_size=a.n, max_size=a.n)))
+        return a, b
     n = draw(st.integers(1, 6))
     row = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
     a, b = draw(row), draw(row)
