@@ -6,11 +6,17 @@ admissible matrix it is exactly the solution set of the two-sided system
 
     lambda * A^t (x)  ==  A^(t+1) (x)      for any t at or past the transient,
 
-and for a circulant the exponent n^2 always works.  This module builds those
-systems, reduces them, decides membership, and checks inclusion between two
-attraction cones.  Inclusion is proved from the finite generating set of the
-first cone when that set is within its size limit and lies in the second
-cone; otherwise the cones are sampled for a counterexample.
+and for a circulant the exponent n^2 always works.  For a circulant the same
+cone is also cut out by a smaller system: the rows of A^(n^2) indexed by one
+critical component agree on x.  Its power is taken on the defining row, so
+building it needs no transient, no cycle mean and no matrix product.
+
+This module builds those systems, reduces them, decides membership, and
+checks inclusion between two attraction cones; a circulant operand of an
+inclusion check enters through its reduced system.  Inclusion is proved from
+the finite generating set of the first cone when that set is within its
+size limit and lies in the second cone; otherwise the cones are sampled for
+a counterexample.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Literal, Sequence
 
@@ -42,7 +49,7 @@ from .core import (
     mat_power,
 )
 from .digraph import max_cycle_mean, pair_leq_scalar
-from .periodicity import orbit_period, transient_and_period
+from .periodicity import _admissible_lambda_class, _orbit_period, orbit_period, transient_and_period
 from .twosided import (
     IterationCapExceeded,
     Scaled,
@@ -127,15 +134,16 @@ def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
     applied to x must agree.  A chain over each component's (sorted) nodes is
     equivalent to all pairs; duplicate and trivial rows are dropped.  A
     component with a single cyclic class contributes nothing: all its rows of
-    A^(n^2) coincide.
+    A^(n^2) coincide.  The solution set is that of ``attraction_system``.
+
+    A^(n^2) is taken on the defining row by repeated squaring and expanded
+    only to read its rows; the components come from the gcd formula.
     """
     if c.is_zero():
         raise ValueError("zero circulant has no reduced attraction system")
-    spectral = circ_spectral(c)
-    a = expand(c)
-    power = mat_power(a, c.n * c.n)
+    power = expand(circ_power(c, c.n * c.n))
     rows: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    for comp in spectral.components:
+    for comp in circ_spectral(c).components:
         for i, j in zip(comp, comp[1:]):
             rows.append((power.rows[i - 1], power.rows[j - 1]))
     return TwoSidedSystem(c.n, _dedup_equations(rows))
@@ -246,14 +254,18 @@ def _as_matrix(m: Circulant | MaxMatrix) -> MaxMatrix:
 def _membership_test(m: Circulant | MaxMatrix):
     """Membership of a ray, given by integer numerators, in the attraction cone of ``m``.
 
-    Cones are scale invariant, so the numerators stand for the whole ray.
+    Cones are scale invariant, so the numerators stand for the whole ray.  A
+    circulant's rays are tested against its reduced system.  A general
+    matrix's are tested by their orbit period, with its admissibility checked
+    once, at the first ray, where ``orbit_period`` would raise.
     """
     if m.is_zero():
         return lambda nums: True
     if isinstance(m, Circulant):
-        eqs = attraction_system(m)._scaled_equations
+        eqs = reduced_attraction_system(m)._scaled_equations
         return lambda nums: _holds(eqs, nums)
-    return lambda nums: in_attraction_cone_matrix(m, MaxVector(tuple(map(Fraction, nums))))
+    lambda_class = cache(lambda: _admissible_lambda_class(m))
+    return lambda nums: _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class()) == 1
 
 
 def _period_window_eigenvectors(m: Circulant | MaxMatrix) -> list[MaxVector]:
@@ -327,6 +339,12 @@ def check_attraction_inclusion(
     already found in it is answered from a memo.  Greatest solutions are read
     off the finite generating set of the first cone when it is within its
     size limit, and come from the sweep otherwise.
+
+    A circulant operand's cone is defined by ``reduced_attraction_system``,
+    whose solution set is that of ``attraction_system``: for two circulants
+    no transient, cycle mean or matrix power is computed.  A general operand
+    keeps ``attraction_system_for_matrix`` for ``a`` and the orbit period
+    for ``b``.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
@@ -373,7 +391,7 @@ def check_attraction_inclusion(
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
-    system_a = attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(ma)
+    system_a = reduced_attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(ma)
     generators = system_a._generators
     if generators and all(map(ray_in_b, generators)):
         # Every greatest solution is a max-combination of the generators, so

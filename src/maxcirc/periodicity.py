@@ -134,6 +134,10 @@ def orbit_period(a: Circulant | MaxMatrix, x: MaxVector) -> int:
     if a.n != x.n:
         raise ValueError(f"matrix size {a.n} vs vector size {x.n}")
     w, l = _admissible_lambda_class(a)
-    m = expand(a) if isinstance(a, Circulant) else a
+    return _orbit_period(expand(a) if isinstance(a, Circulant) else a, x, w, l)
+
+
+def _orbit_period(m: MaxMatrix, x: MaxVector, w: Fraction, l: int) -> int:
+    """``orbit_period`` for a matrix whose cycle-mean class (w, l) is already validated."""
     _, period = _detect_repeat(lambda v: mat_vec(m, v), mat_vec(m, x), attrgetter("entries"), w, l)
     return period

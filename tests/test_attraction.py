@@ -10,12 +10,15 @@ from maxcirc import (
     Circulant,
     MaxMatrix,
     MaxVector,
+    NotAdmissible,
     TwoSidedSystem,
     attraction_system,
     attraction_system_for_matrix,
     cancel_reduce,
     check_attraction_inclusion,
     circ_lambda,
+    circ_power,
+    circ_spectral,
     critical_structure,
     expand,
     in_attraction_cone,
@@ -152,6 +155,50 @@ def test_membership_tests_agree():
             assert by_system == bf.orbit_member(a.rows, x.entries)
 
 
+REDUCED_ENTRIES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1), F(2), F(2, 7)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_reduced_system_defines_the_attraction_cone(data):
+    n = data.draw(st.integers(1, 8))
+    vector = st.lists(st.sampled_from(REDUCED_ENTRIES), min_size=n, max_size=n)
+    row = data.draw(vector)
+    assume(any(row))
+    c = Circulant.of(row)
+    reduced = reduced_attraction_system(c)
+    full = [attraction_system(c, mode) for mode in ("min_transient", "exact_n2")]
+    vectors = data.draw(st.lists(vector, max_size=6))
+    rays = full[0]._generators or ()
+    for x in [*vectors, *rays]:
+        x = MaxVector.of(x)
+        member = satisfies(reduced, x)
+        assert [satisfies(system, x) for system in full] == [member, member]
+        assert member == bf.orbit_member(expand(c).rows, x.entries)
+    for system in full:
+        if reduced._generators is not None and system._generators is not None:
+            assert set(reduced._generators) == set(system._generators)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_powers_on_defining_rows_match_matrix_powers(data):
+    n = data.draw(st.integers(1, 7))
+    c = Circulant.of(data.draw(st.lists(st.sampled_from(REDUCED_ENTRIES), min_size=n, max_size=n)))
+    t = data.draw(st.integers(0, n * n + 2))
+    assert expand(circ_power(c, t)) == mat_power(expand(c), t)
+    assume(not c.is_zero())
+    # The reduced system's row pairs, read off the matrix power.
+    power = mat_power(expand(c), n * n)
+    pairs: dict[frozenset, tuple] = {}
+    for comp in circ_spectral(c).components:
+        for i, j in zip(comp, comp[1:]):
+            lhs, rhs = power.rows[i - 1], power.rows[j - 1]
+            if lhs != rhs:
+                pairs.setdefault(frozenset((lhs, rhs)), (lhs, rhs))
+    assert eq_tuples(reduced_attraction_system(c)) == list(pairs.values())
+
+
 @st.composite
 def admissible_matrices(draw, n=None):
     """Nonzero matrices with n <= 4 (or of size ``n``) whose attraction system is defined."""
@@ -276,19 +323,53 @@ def test_inclusion_running_example_pair():
 
 
 def test_inclusion_builds_each_circulant_system_once(monkeypatch):
+    # Both cones come from their reduced systems: nothing takes the generic
+    # route of transient, cycle mean and matrix power.
     import maxcirc.attraction as attraction
 
     built = []
 
-    def counting(c, mode="min_transient"):
+    def counting(c):
         built.append(c)
-        return attraction_system(c, mode)
+        return reduced_attraction_system(c)
 
-    monkeypatch.setattr(attraction, "attraction_system", counting)
+    def generic(*args, **kwargs):
+        raise AssertionError("the generic attraction-system route ran")
+
+    monkeypatch.setattr(attraction, "reduced_attraction_system", counting)
+    for name in ("attraction_system", "transient_and_period", "max_cycle_mean"):
+        monkeypatch.setattr(attraction, name, generic)
     a = Circulant.of([0, 0, 1, "1/4"])
     b = Circulant.of([0, 0, 1, "1/2"])
     assert check_attraction_inclusion(a, b, trials=20, seed=2).consistent
     assert len(built) == 2 and set(built) == {a, b}
+
+
+@pytest.mark.parametrize("a", [EX21_A, MaxMatrix(EX21_B.rows)])
+def test_inclusion_validates_a_general_second_cone_once(monkeypatch, a):
+    # The orbit-period membership test of a general B takes B's cycle-mean
+    # class at its first ray and reuses it for every later one.
+    import maxcirc.periodicity as periodicity
+
+    original = periodicity.component_cycle_means
+    on_b = []
+
+    def counting(m):
+        if m is EX21_B:
+            on_b.append(m)
+        return original(m)
+
+    monkeypatch.setattr(periodicity, "component_cycle_means", counting)
+    verdict = check_attraction_inclusion(a, EX21_B, trials=40, seed=0)
+    assert verdict.members_tested >= 2
+    assert len(on_b) == 1
+
+
+def test_a_general_second_cone_is_validated_at_its_first_ray():
+    # Not admissible: the 2-cycle has mean 1, the loop at node 3 mean 1/2.
+    b = MaxMatrix.of([[0, 1, 0], [1, 0, 0], [0, 0, "1/2"]])
+    with pytest.raises(NotAdmissible, match="unequal cycle means"):
+        check_attraction_inclusion(Circulant.of([0, 0, 0]), b)
 
 
 @pytest.mark.parametrize(
@@ -311,7 +392,7 @@ def test_inclusion_is_decided_from_the_generators_without_trials(monkeypatch, a,
         raise AssertionError("a trial ran")
 
     a, b = Circulant.of(a), Circulant.of(b)
-    assert attraction_system(a)._generators is not None
+    assert reduced_attraction_system(a)._generators is not None
     monkeypatch.setattr(attraction, "_greatest_in_span", no_trials)
     monkeypatch.setattr(attraction, "_greatest", no_trials)
     assert check_attraction_inclusion(a, b, trials=trials, seed=seed) == InclusionVerdict(
@@ -437,6 +518,6 @@ def test_inclusion_verdict_is_the_same_from_the_sweep(operands, trials, seed):
 
 def test_inclusion_past_the_generator_limit_samples_by_the_sweep():
     wide = Circulant.of(["1/2", "1/4", "3/4", 0, 1, "1/2", "3/4", 0])
-    assert attraction_system(wide)._generators is None
+    assert reduced_attraction_system(wide)._generators is None
     verdict = check_attraction_inclusion(wide, wide, trials=30, seed=1)
     assert verdict.consistent and verdict.trials_run == 30 and verdict.members_tested > 0

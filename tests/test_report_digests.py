@@ -8,6 +8,14 @@ change to any of these reports shows here.  ``classify`` runs through
 problem 13, its first universally robust instance; ``inclusion`` covers two
 rotations of its cost classes, and ``analysis`` one.
 
+Twelve inline ``inclusion_check`` problems at n = 7 and 8 are pinned the same
+way.  The benchmark's n = 5 never reaches the generator limit of the
+attraction systems, and eight of these do.  Of the first 60 pairs that
+``workloads.dominated_pair`` draws from ``random.Random(11)`` (n alternating
+7 and 8, every fourth pair swapped), they are the eight whose first cone has
+no generating set within the limit for its reduced system, its full system
+or both, the two other counterexamples, and the first two remaining pairs.
+
 A change that alters reports on purpose re-pins the digests, which
 ``PYTHONPATH=src python tests/test_report_digests.py`` prints, and says so
 in CHANGES.md.
@@ -80,26 +88,74 @@ PINNED = {
 }
 
 
-def report_digests(workload: str, count: int, workdir: Path) -> list[str]:
+# (a, b) defining rows of the inline n = 7 and 8 inclusion problems.
+WIDE_PAIRS = (
+    (["1/2", 1, "2/3", 1, 1, "1/4", 0], ["1/2", 1, "2/3", 1, 1, "1/2", "1/2"]),
+    (["1/2", "1/3", 0, 0, "2/3", 1, 0, 0], ["1/2", "1/3", "1/4", 0, "2/3", 1, "3/4", "3/4"]),
+    ([0, 0, "1/4", "1/2", 0, 1, 0], [0, "1/4", "1/4", "2/3", 0, 1, "1/2"]),
+    (["1/2", "3/4", "1/3", "1/2", "2/3", 1, 0, "3/4"], ["1/4", "2/3", "1/4", 0, 0, 1, 0, "1/2"]),
+    (["1/2", "1/4", 0, "1/3", 1, 1, "2/3", "1/3"], ["1/4", "1/4", 0, 0, 1, "1/4", "1/4", "1/4"]),
+    (["1/3", 0, 0, 0, 0, "3/4", 0, "1/2"], ["1/2", "1/4", "1/2", "1/2", "1/4", "3/4", 0, "1/2"]),
+    (["1/2", "1/2", "1/4", "1/3", "1/2", 1, "1/2", "2/3"], ["1/4", "1/2", 0, "1/4", "1/4", 1, 0, 0]),
+    (["3/4", 0, "1/3", "1/2", 0, "1/2", 1, "1/2"], ["1/2", 0, 0, "1/4", 0, "1/3", 1, 0]),
+    ([0, 0, "2/3", 0, "3/4", "1/4", "1/3", "1/2"], [0, 0, 0, 0, "3/4", "1/4", "1/4", "1/3"]),
+    (["1/4", "1/2", "1/3", "1/4", 1, "1/3", "1/3", "2/3"], ["1/4", "1/2", "1/2", "1/4", 1, "1/2", "2/3", "2/3"]),
+    (["1/3", "1/3", "1/4", 0, "1/3", "1/4", "1/4", "3/4"], ["1/3", "2/3", "1/4", 0, "1/3", "1/2", "1/4", "3/4"]),
+    (["2/3", 0, "1/2", "2/3", "2/3", "1/2", 1, "3/4"], [0, 0, "1/3", "1/4", "2/3", 0, 1, "3/4"]),
+)
+
+PINNED_WIDE = (
+    "2e93718f863e59ce38133aa82920752c9e2c8b6d62e5e5b5786a604e8ee0020c",
+    "a18539d638955c573dac05e705bda1eefac19e498e6cf42c8c273fca941d95bb",
+    "f84c5e75d2019d41a5517bd221237d847227bd9936a63fbbae9c96cbcadaab2d",
+    "da8108c66725785fcc8050660196a56fc0c7e6d435d1f4bcf736fc1f935d963b",
+    "a7aa092f84545c9bb08baf125cf8a003a823f27d07e2ab40754e6a2a79cfa874",
+    "e50081ee1454d8d2cd8e9917a7779968411a497283264a41e44d88b9407dc315",
+    "28c5a567f386cf5065bafa253574f7655d1c039c7e05321edff23d057c7dc636",
+    "c68232709d768a55359c257fec01c57bfe33f09c186543b1b9b41cc91f233aa9",
+    "7a2e5158922c232cd708baaf2e4b6fef2537affdc959c8381bfe207e738ee8e3",
+    "3552c01dea79892ed94cbb58298270ca9b0e5f81b326d0fcee0aaa1a6f1c824a",
+    "aecf7715dd1561501043b48aca92cc8937f6deacd45ba170d3adc5950f65969f",
+    "672da99036276d7d76e8c6f79963e8ae336ce0f086bb8cb4c4170c442832e138",
+)
+
+
+def report_digest(i: int, problem: dict, flags: dict, workdir: Path) -> str:
     path = workdir / "problem.json"
-    digests = []
-    for i in range(count):
-        problem, flags = workloads.make_problem(workload, SEED, i)
-        path.write_text(json.dumps(problem))
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.run(str(path), **flags)
-            except Exception as exc:
-                code = f"{type(exc).__name__}: {exc}"
-        record = repr((i, code, stdout.getvalue(), stderr.getvalue()))
-        digests.append(hashlib.sha256(record.encode()).hexdigest())
-    return digests
+    path.write_text(json.dumps(problem))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.run(str(path), **flags)
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    record = repr((i, code, stdout.getvalue(), stderr.getvalue()))
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def report_digests(workload: str, count: int, workdir: Path) -> list[str]:
+    return [report_digest(i, *workloads.make_problem(workload, SEED, i), workdir) for i in range(count)]
+
+
+def wide_digests(workdir: Path) -> list[str]:
+    return [
+        report_digest(
+            i,
+            {"kind": "inclusion_check", "a": {"circulant": a}, "b": {"circulant": b}},
+            dict(workloads.DEFAULT_FLAGS),
+            workdir,
+        )
+        for i, (a, b) in enumerate(WIDE_PAIRS)
+    ]
 
 
 @pytest.mark.parametrize("workload", sorted(COUNTS))
 def test_reports_match_the_pinned_digests(workload, tmp_path):
     assert report_digests(workload, COUNTS[workload], tmp_path) == list(PINNED[workload])
+
+
+def test_wide_inclusion_reports_match_the_pinned_digests(tmp_path):
+    assert wide_digests(tmp_path) == list(PINNED_WIDE)
 
 
 if __name__ == "__main__":
@@ -113,3 +169,7 @@ if __name__ == "__main__":
                 print(f'        "{digest}",')
             print("    ),")
         print("}")
+        print("PINNED_WIDE = (")
+        for digest in wide_digests(Path(tmp)):
+            print(f'    "{digest}",')
+        print(")")
