@@ -13,10 +13,10 @@ building it needs no transient, no cycle mean and no matrix product.
 
 This module builds those systems, reduces them, decides membership, and
 checks inclusion between two attraction cones; a circulant operand of an
-inclusion check enters through its reduced system.  Inclusion is proved from
-the finite generating set of the first cone when that set is within its
-size limit and lies in the second cone; otherwise the cones are sampled for
-a counterexample.
+inclusion check enters through its reduced system, whose A^(n^2) also starts
+a first operand's eigenvector window.  Inclusion is proved from the finite
+generating set of the first cone when that set is within its size limit and
+lies in the second cone; otherwise the cones are sampled for a counterexample.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from functools import cache
 from math import gcd
 from typing import Literal, Sequence
 
-from .circulant import (
-    Circulant,
-    circ_lambda,
-    circ_mul,
-    circ_period,
-    circ_power,
-    circ_spectral,
-    expand,
-)
+from .circulant import CircSpectral, Circulant, circ_mul, circ_power, circ_spectral, expand
 from .core import (
     ONE,
     ZERO,
@@ -141,12 +133,14 @@ def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
     """
     if c.is_zero():
         raise ValueError("zero circulant has no reduced attraction system")
-    power = expand(circ_power(c, c.n * c.n))
-    rows: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    for comp in circ_spectral(c).components:
-        for i, j in zip(comp, comp[1:]):
-            rows.append((power.rows[i - 1], power.rows[j - 1]))
-    return TwoSidedSystem(c.n, _dedup_equations(rows))
+    return _row_pair_system(circ_power(c, c.n * c.n), circ_spectral(c))
+
+
+def _row_pair_system(power: Circulant, spectral: CircSpectral) -> TwoSidedSystem:
+    """``reduced_attraction_system`` from A^(n^2) and the spectral data of A."""
+    rows = expand(power).rows
+    pairs = [(rows[i - 1], rows[j - 1]) for comp in spectral.components for i, j in zip(comp, comp[1:])]
+    return TwoSidedSystem(power.n, _dedup_equations(pairs))
 
 
 def in_attraction_cone(c: Circulant, x: MaxVector, mode: Mode = "min_transient") -> bool:
@@ -162,6 +156,8 @@ def in_attraction_cone_matrix(a: MaxMatrix, x: MaxVector) -> bool:
     The orbit of x reaches the eigencone exactly when its normalized eventual
     period is 1; the zero vector belongs to every attraction cone.
     """
+    if x.n != a.n:
+        raise DimensionMismatch(f"vector size {x.n} vs matrix size {a.n}")
     if a.is_zero():
         return True
     return orbit_period(a, x) == 1
@@ -247,10 +243,6 @@ class InclusionVerdict:
     members_tested: int
 
 
-def _as_matrix(m: Circulant | MaxMatrix) -> MaxMatrix:
-    return expand(m) if isinstance(m, Circulant) else m
-
-
 def _membership_test(m: Circulant | MaxMatrix):
     """Membership of a ray, given by integer numerators, in the attraction cone of ``m``.
 
@@ -268,30 +260,14 @@ def _membership_test(m: Circulant | MaxMatrix):
     return lambda nums: _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class()) == 1
 
 
-def _period_window_eigenvectors(m: Circulant | MaxMatrix) -> list[MaxVector]:
+def _period_window_eigenvectors(m: MaxMatrix) -> list[MaxVector]:
     """One eigenvector per coordinate: max over a full period window of columns.
 
     With T the transient and p the period, the entrywise max of the columns
     of (A/lambda)^T .. (A/lambda)^(T+p-1) is an eigenvector, hence a member
     of the attraction cone.  Normalization is skipped (cones are scale
     invariant), so this stays exact whenever lambda is rational.
-
-    Past the transient the window's set of powers does not depend on where
-    it starts, so a nonzero circulant starts it at n^2 (never below its
-    transient) and takes every power on defining rows: lambda is the largest
-    entry and p comes from the gcd formulas.
     """
-    if isinstance(m, Circulant):
-        n = m.n
-        lam = circ_lambda(m)
-        scaled = Circulant(tuple(v / lam for v in m.row))
-        power = circ_power(scaled, n * n)
-        window = power.row
-        for _ in range(circ_period(m) - 1):
-            power = circ_mul(power, scaled)
-            window = tuple(map(max, window, power.row))
-        columns = (tuple(window[(j - i) % n] for i in range(n)) for j in range(n))
-        return [MaxVector(col) for col in columns if any(col)]
     cm = max_cycle_mean(m)
     if cm is None or cm.value is None:
         return []
@@ -308,6 +284,26 @@ def _period_window_eigenvectors(m: Circulant | MaxMatrix) -> list[MaxVector]:
         if not col.is_zero():
             out.append(col)
     return out
+
+
+def _circulant_window_eigenvectors(c: Circulant, power: Circulant, spectral: CircSpectral) -> list[MaxVector]:
+    """``_period_window_eigenvectors`` of a nonzero circulant, given A^(n^2) and its spectral data.
+
+    Past the transient the window's set of powers does not depend on where it
+    starts, so it starts at n^2 with A^(n^2) / lambda^(n^2) = (A/lambda)^(n^2).
+    Later powers are taken on defining rows, and p is the gcd-formula period.
+    """
+    n = c.n
+    lam = spectral.eigenvalue
+    step = Circulant(tuple(v / lam for v in c.row))
+    scale = lam ** (n * n)
+    scaled = Circulant(tuple(v / scale for v in power.row))
+    window = scaled.row
+    for _ in range(spectral.period - 1):
+        scaled = circ_mul(scaled, step)
+        window = tuple(map(max, window, scaled.row))
+    columns = (tuple(window[(j - i) % n] for i in range(n)) for j in range(n))
+    return [MaxVector(col) for col in columns if any(col)]
 
 
 def check_attraction_inclusion(
@@ -342,16 +338,16 @@ def check_attraction_inclusion(
 
     A circulant operand's cone is defined by ``reduced_attraction_system``,
     whose solution set is that of ``attraction_system``: for two circulants
-    no transient, cycle mean or matrix power is computed.  A general operand
-    keeps ``attraction_system_for_matrix`` for ``a`` and the orbit period
-    for ``b``.
+    no transient, cycle mean or matrix power is computed.  A circulant ``a``
+    reads its window eigenvectors and its system off one A^(n^2) and one
+    ``circ_spectral``.  A general operand keeps
+    ``attraction_system_for_matrix`` for ``a`` and the orbit period for ``b``.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
-    ma = _as_matrix(a)
-    if ma.n != b.n:
-        raise DimensionMismatch(f"matrix sizes differ: {ma.n} vs {b.n}")
-    n = ma.n
+    if a.n != b.n:
+        raise DimensionMismatch(f"matrix sizes differ: {a.n} vs {b.n}")
+    n = a.n
     # Every probe lies in the cone of ``a`` by construction: a unit vector
     # when ``a`` is zero, a window eigenvector, or a greatest solution of its
     # system, which ``_greatest`` and ``_greatest_in_span`` check.  For an
@@ -378,7 +374,7 @@ def check_attraction_inclusion(
         tested += 1
         return None if ray_in_b(tuple(v // g for v in x[0])) else _vector(x)
 
-    if ma.is_zero():
+    if a.is_zero():
         # Attraction cone of the zero matrix is the whole space.
         for i in range(n):
             bad = probe((tuple(int(i == j) for j in range(n)), 1))
@@ -386,12 +382,20 @@ def check_attraction_inclusion(
                 return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
         return InclusionVerdict(True, None, trials_run=0, members_tested=tested)
 
-    for v in _period_window_eigenvectors(a):
+    if isinstance(a, Circulant):
+        power, spectral = circ_power(a, n * n), circ_spectral(a)
+        eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
+    else:
+        eigenvectors = _period_window_eigenvectors(a)
+    for v in eigenvectors:
         bad = probe(_scaled(v.entries))
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
-    system_a = reduced_attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(ma)
+    if isinstance(a, Circulant):
+        system_a, values = _row_pair_system(power, spectral), a.row
+    else:
+        system_a, values = attraction_system_for_matrix(a), [v for row in a.rows for v in row]
     generators = system_a._generators
     if generators and all(map(ray_in_b, generators)):
         # Every greatest solution is a max-combination of the generators, so
@@ -401,7 +405,7 @@ def check_attraction_inclusion(
         # choose which members, so nothing is drawn.
         members = tested + 2 * trials - max(0, min(trials, 2 - tested))
         return InclusionVerdict(True, None, trials_run=trials, members_tested=members)
-    entries = sorted({v for row in ma.rows for v in row if v > 0})
+    entries = sorted({v for v in values if v > 0})
     pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))
     spanned = generators is not None
     cap = system_a.iteration_cap

@@ -4,10 +4,12 @@ A circulant is determined by its defining row (a_0, ..., a_{n-1}); entry
 (i, j) of the expanded matrix is a_t for t = (j - i) mod n.  For circulants
 the greatest eigenvalue is simply the largest defining entry, the critical
 digraph splits into gcd-determined isomorphic components, and the ultimate
-period of matrix powers is given by explicit gcd formulas.  The gcd formulas
-are evaluated in three equivalent forms and cross-checked against the
-graph-computed cyclicity on every call; a disagreement is an implementation
-bug and raises ``InternalError``.
+period of matrix powers is given by explicit gcd formulas.  The critical
+digraph is the threshold digraph at the eigenvalue: each edge i -> i+p of
+maximal weight closes a cycle of such edges under repeated +p.  One pass over
+it gives the cyclic classes and cross-checks the gcd components and the
+three equivalent gcd period formulas on every call; a disagreement is an
+implementation bug and raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import (
     as_scalar,
     power_by_squaring,
 )
-from .digraph import digraph_cyclicity, threshold_digraph
+from .digraph import _cyclic_components, threshold_digraph
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,7 @@ class CircSpectral:
     diagonal_is_maximal: bool  # a_0 attains the maximum
     component_count: int
     components: tuple[tuple[int, ...], ...]
+    cyclic_classes: tuple[tuple[tuple[int, ...], ...], ...]  # per component
     period: int
     period_formulas: tuple[int, int, int] | None  # None when the period is 1 by a_0
 
@@ -120,11 +123,12 @@ def _period_formulas(n: int, ps: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def circ_spectral(c: Circulant) -> CircSpectral:
-    """Eigenvalue, critical components and ultimate period of a nonzero circulant.
+    """Eigenvalue, critical components, cyclic classes and period of a nonzero circulant.
 
     Component node sets come from the gcd formula; the period is computed by
-    all three gcd expressions, which must agree with each other and with the
-    cyclicity of the threshold digraph at the eigenvalue.
+    all three gcd expressions.  One pass over the threshold digraph at the
+    eigenvalue, which is the critical digraph, gives the cyclic classes; its
+    components and cyclicity must agree with the formulas.
     """
     if c.is_zero():
         raise ValueError("zero circulant has no critical structure")
@@ -133,15 +137,9 @@ def circ_spectral(c: Circulant) -> CircSpectral:
     ps = tuple(t for t in range(n - 1, 0, -1) if c.row[t] == lam)
     a0_max = c.row[0] == lam
 
-    if ps:
-        m = math.gcd(n, *ps)
-    else:
-        # Only the diagonal attains the maximum: the critical digraph is the
-        # n loops, read as n singleton components.
-        m = n
-    components = tuple(
-        tuple(range(i, n + 1, m)) for i in range(1, m + 1)
-    )
+    # With only the diagonal maximal, m = n: the critical digraph is n loops.
+    m = math.gcd(n, *ps)
+    components = tuple(tuple(range(i, n + 1, m)) for i in range(1, m + 1))
 
     if a0_max:
         period = 1
@@ -152,10 +150,11 @@ def circ_spectral(c: Circulant) -> CircSpectral:
             raise InternalError(f"cyclicity formulas disagree: {formulas} for {c!r}")
         period = formulas[0]
 
-    _, graph_sigma = digraph_cyclicity(threshold_digraph(expand(c), lam))
-    if graph_sigma != period:
+    graph_components, sigmas, classes = zip(*_cyclic_components(threshold_digraph(expand(c), lam)))
+    if graph_components != components or math.lcm(*sigmas) != period:
         raise InternalError(
-            f"formula period {period} != graph cyclicity {graph_sigma} for {c!r}"
+            f"gcd formulas give {components}, period {period}; threshold digraph gives"
+            f" {graph_components}, cyclicity {math.lcm(*sigmas)} for {c!r}"
         )
     return CircSpectral(
         eigenvalue=lam,
@@ -163,6 +162,7 @@ def circ_spectral(c: Circulant) -> CircSpectral:
         diagonal_is_maximal=a0_max,
         component_count=m,
         components=components,
+        cyclic_classes=classes,
         period=period,
         period_formulas=formulas,
     )

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .circulant import Circulant, circ_mul, circ_period, expand
-from .core import InternalError, MaxMatrix, MaxVector, mat_mul, mat_vec
+from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, mat_mul, mat_vec
 from .digraph import component_cycle_means, pair_eq
 
 # Hard stop for repeat detection.  The (n-1)^2+1 transient bound is proved
@@ -132,7 +132,7 @@ def orbit_period(a: Circulant | MaxMatrix, x: MaxVector) -> int:
     eigenvalue.
     """
     if a.n != x.n:
-        raise ValueError(f"matrix size {a.n} vs vector size {x.n}")
+        raise DimensionMismatch(f"matrix size {a.n} vs vector size {x.n}")
     w, l = _admissible_lambda_class(a)
     return _orbit_period(expand(a) if isinstance(a, Circulant) else a, x, w, l)
 

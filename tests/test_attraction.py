@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from maxcirc import (
     Circulant,
+    DimensionMismatch,
     MaxMatrix,
     MaxVector,
     NotAdmissible,
@@ -31,7 +32,7 @@ from maxcirc import (
     reduced_attraction_system,
     satisfies,
 )
-from maxcirc.attraction import InclusionVerdict, _period_window_eigenvectors
+from maxcirc.attraction import InclusionVerdict, _circulant_window_eigenvectors, _period_window_eigenvectors
 
 import bruteforce as bf
 
@@ -324,25 +325,47 @@ def test_inclusion_running_example_pair():
 
 def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # Both cones come from their reduced systems: nothing takes the generic
-    # route of transient, cycle mean and matrix power.
+    # route of transient, cycle mean and matrix power.  Each operand takes
+    # one A^(n^2) and one spectral pass; A's serve both its window
+    # eigenvectors and its system, and a circulant is expanded only to read
+    # the rows of its power.
     import maxcirc.attraction as attraction
 
-    built = []
+    powers, spectra, expanded = [], [], []
 
-    def counting(c):
-        built.append(c)
-        return reduced_attraction_system(c)
+    def counting_power(c, t):
+        power = circ_power(c, t)
+        powers.append((c, t, power))
+        return power
+
+    def counting_spectral(c):
+        spectra.append(c)
+        return circ_spectral(c)
+
+    def recording_expand(c):
+        expanded.append(c)
+        return expand(c)
 
     def generic(*args, **kwargs):
         raise AssertionError("the generic attraction-system route ran")
 
-    monkeypatch.setattr(attraction, "reduced_attraction_system", counting)
-    for name in ("attraction_system", "transient_and_period", "max_cycle_mean"):
+    monkeypatch.setattr(attraction, "circ_power", counting_power)
+    monkeypatch.setattr(attraction, "circ_spectral", counting_spectral)
+    monkeypatch.setattr(attraction, "expand", recording_expand)
+    for name in ("attraction_system", "transient_and_period", "max_cycle_mean", "mat_power", "mat_mul"):
         monkeypatch.setattr(attraction, name, generic)
-    a = Circulant.of([0, 0, 1, "1/4"])
-    b = Circulant.of([0, 0, 1, "1/2"])
-    assert check_attraction_inclusion(a, b, trials=20, seed=2).consistent
-    assert len(built) == 2 and set(built) == {a, b}
+    for a, b, consistent in [
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], True),
+        ([0, "1/2", 1, 0, "1/4"], [0, 0, 1, 0, "1/4"], True),  # period 5
+        ([1, "1/2", 1, 1], ["1/2", 1, "1/4", "1/2"], False),  # found by the first trial
+    ]:
+        a, b = Circulant.of(a), Circulant.of(b)
+        for calls in (powers, spectra, expanded):
+            calls.clear()
+        assert check_attraction_inclusion(a, b, trials=20, seed=2).consistent is consistent
+        assert sorted((c.row, t) for c, t, _ in powers) == sorted([(a.row, a.n**2), (b.row, b.n**2)])
+        assert sorted(c.row for c in spectra) == sorted([a.row, b.row])
+        assert all(any(c is power for _, _, power in powers) for c in expanded)
 
 
 @pytest.mark.parametrize("a", [EX21_A, MaxMatrix(EX21_B.rows)])
@@ -413,7 +436,14 @@ def test_circulant_eigenvector_window_equals_matrix_window():
     pool = [0, F(1, 3), F(2, 7), F(3, 4), 1, 2]
     for _ in range(40):
         c = random_nonzero_circulant(rng, rng.randint(1, 7), pool)
-        assert _period_window_eigenvectors(c) == _period_window_eigenvectors(expand(c))
+        window = _circulant_window_eigenvectors(c, circ_power(c, c.n * c.n), circ_spectral(c))
+        assert window == _period_window_eigenvectors(expand(c))
+
+
+@pytest.mark.parametrize("a", [MaxMatrix.zeros(3), EX21_A])
+def test_matrix_membership_rejects_a_vector_of_another_size(a):
+    with pytest.raises(DimensionMismatch, match="vector size 2"):
+        in_attraction_cone_matrix(a, MaxVector.of([1, 2]))
 
 
 def test_inclusion_finds_counterexample_for_general_pair():

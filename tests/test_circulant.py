@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcirc import (
     Circulant,
@@ -126,6 +128,32 @@ def test_components_agree_with_critical_structure():
         if c.is_zero():
             continue
         assert circ_critical_components(c) == critical_structure(expand(c)).components
+
+
+@st.composite
+def nonzero_rows(draw):
+    n = draw(st.integers(1, 10))
+    pool = [0, F(1, 4), F(1, 3), F(1, 2), F(3, 4), 1, 2]
+    shape = draw(st.sampled_from(["random", "diagonal_maximal", "all_equal"]))
+    if shape == "all_equal":
+        return [draw(st.sampled_from(pool[1:]))] * n
+    row = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n).filter(any))
+    if shape == "diagonal_maximal":
+        row[0] = max(row)
+    return row
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(nonzero_rows())
+def test_spectral_pass_matches_critical_structure(row):
+    # The threshold digraph at the eigenvalue is the critical digraph, so its
+    # single pass gives what Karp and the Kleene star give on the matrix.
+    c = Circulant.of(row)
+    sp = circ_spectral(c)
+    cs = critical_structure(expand(c))
+    assert sp.components == cs.components
+    assert sp.cyclic_classes == cs.cyclic_classes
+    assert sp.period == cs.global_cyclicity
 
 
 def test_circ_period_examples():

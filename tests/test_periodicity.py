@@ -5,6 +5,7 @@ import pytest
 
 from maxcirc import (
     Circulant,
+    DimensionMismatch,
     MaxMatrix,
     MaxVector,
     NotAdmissible,
@@ -135,6 +136,13 @@ def test_orbit_period_examples():
     p6 = expand(Circulant.of([0, 1, 0, 0, 0, 0]))
     assert orbit_period(p6, MaxVector.unit(6, 0)) == 6
     assert orbit_period(a, MaxVector.zeros(4)) == 1
+
+
+def test_orbit_period_rejects_a_vector_of_another_size():
+    c = Circulant.of([0, 0, 1, "1/2"])
+    for m in (c, expand(c), MaxMatrix.zeros(3)):
+        with pytest.raises(DimensionMismatch, match="vector size 2"):
+            orbit_period(m, MaxVector.of([1, 2]))
 
 
 def test_orbit_period_divides_matrix_period():

@@ -16,6 +16,11 @@ attraction systems, and eight of these do.  Of the first 60 pairs that
 no generating set within the limit for its reduced system, its full system
 or both, the two other counterexamples, and the first two remaining pairs.
 
+Fourteen inline ``circulant_analysis`` problems are pinned too: n = 1, the
+zero row, a maximal diagonal with and without maximal offsets, an all-equal
+row, several components with period above 1, and three n = 20 workload rows
+(``analysis`` problems 0 and 2 at seed 2 and problem 5 at seed 3).
+
 A change that alters reports on purpose re-pins the digests, which
 ``PYTHONPATH=src python tests/test_report_digests.py`` prints, and says so
 in CHANGES.md.
@@ -120,6 +125,42 @@ PINNED_WIDE = (
 )
 
 
+# Defining rows of the inline circulant analyses.
+ANALYSIS_ROWS = (
+    [1],
+    ["3/4"],
+    [0, 0, 0],
+    [1, "1/2", "1/2"],
+    [1, 0, 1, "1/4", 0, 1],
+    ["1/2", "1/2", "1/2", "1/2", "1/2"],
+    [0, 0, 1, "1/2"],
+    [0, 0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ["1/4", 0, 1, 0, 0, 0, "1/2", 0, 0, 0, 1, 0, 0, 0],
+    ["1/3", "3/4", 0, "2/3", 0, 0, 0, 1, 1, 1, "1/2", "1/2", "3/4", "1/2", 0, 0, "3/4", "1/3", "3/4", "2/3"],
+    ["1/4", "1/3", 0, "1/4", "1/4", 0, "2/3", "1/4", "3/4", "2/3", 0, "1/3", "1/3", 0, "1/2", 0, "2/3", "1/2", 0, "1/4"],
+    [1, "3/4", 1, 0, 1, 1, 0, "1/4", "1/3", "1/2", "1/3", "1/4", "1/2", "1/4", 0, "2/3", "1/2", "3/4", 0, "1/2"],
+)
+
+PINNED_ANALYSIS = (
+    "09c1bfe27776030bc03e096cbdcbefec84910216c0e65656eccb2b8654ab50b7",
+    "34bfa231b4483890f9d9561ecba089f3c7e3f8664cba8cb52500842fa0410b08",
+    "3c04a1be23810dc23cbd94edf3e417ccbd3f3728b331f61c271e4d9c29479530",
+    "3a4a7e516e5cdb0b8b20d2f4f765356a9e3f0bc03bcc04baced024c2e4a23c94",
+    "5ff0a55fba2926945b13780c29f2806f040ead80b637776835be261f5bbe8b2b",
+    "eaa87041f7e2b13535e312af51ca3da29e9a653d80ebc00d387533d674fe4d77",
+    "cd74e8e04330c9195e162d960c220134907cca9a96762f082d36550b42372aae",
+    "d1695b5e300213d83b3d6c00494f57269dc19cc270a4e78d343c8055902551c5",
+    "e836b34c40c1c7a8e0bee64e44b2c8c458c8897116b64957d280008f99dd26ea",
+    "7d77aa132b6772a443f45f314ed0b5a3ea124f40d99e9ed327cdb4a13ee4482a",
+    "6f066e8c9eb480f8ce8367e8ebc10ac8bc915d8436452779f95ac0d802e45634",
+    "b649b9808464ac62a4a11881dc3abccd2b39fc3cb6b3045c3def231891734459",
+    "1ef3926636e5bcd92511902e36297e369f0db7302a2e0853e04158e6495647f3",
+    "e15371581bf70f2153b2969800949861264519699a759902220018e748e953bb",
+)
+
+
 def report_digest(i: int, problem: dict, flags: dict, workdir: Path) -> str:
     path = workdir / "problem.json"
     path.write_text(json.dumps(problem))
@@ -149,6 +190,13 @@ def wide_digests(workdir: Path) -> list[str]:
     ]
 
 
+def analysis_digests(workdir: Path) -> list[str]:
+    return [
+        report_digest(i, {"kind": "circulant_analysis", "circulant": row}, dict(workloads.DEFAULT_FLAGS), workdir)
+        for i, row in enumerate(ANALYSIS_ROWS)
+    ]
+
+
 @pytest.mark.parametrize("workload", sorted(COUNTS))
 def test_reports_match_the_pinned_digests(workload, tmp_path):
     assert report_digests(workload, COUNTS[workload], tmp_path) == list(PINNED[workload])
@@ -156,6 +204,10 @@ def test_reports_match_the_pinned_digests(workload, tmp_path):
 
 def test_wide_inclusion_reports_match_the_pinned_digests(tmp_path):
     assert wide_digests(tmp_path) == list(PINNED_WIDE)
+
+
+def test_circulant_analysis_reports_match_the_pinned_digests(tmp_path):
+    assert analysis_digests(tmp_path) == list(PINNED_ANALYSIS)
 
 
 if __name__ == "__main__":
@@ -171,5 +223,9 @@ if __name__ == "__main__":
         print("}")
         print("PINNED_WIDE = (")
         for digest in wide_digests(Path(tmp)):
+            print(f'    "{digest}",')
+        print(")")
+        print("PINNED_ANALYSIS = (")
+        for digest in analysis_digests(Path(tmp)):
             print(f'    "{digest}",')
         print(")")
