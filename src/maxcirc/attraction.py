@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from typing import Literal, Sequence
 
@@ -382,20 +382,20 @@ def check_attraction_inclusion(
                 return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
         return InclusionVerdict(True, None, trials_run=0, members_tested=tested)
 
+    # A's system is built only when no eigenvector is a counterexample.
     if isinstance(a, Circulant):
         power, spectral = circ_power(a, n * n), circ_spectral(a)
         eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
+        build_system_a, values = partial(_row_pair_system, power, spectral), a.row
     else:
         eigenvectors = _period_window_eigenvectors(a)
+        build_system_a, values = partial(attraction_system_for_matrix, a), [v for row in a.rows for v in row]
     for v in eigenvectors:
         bad = probe(_scaled(v.entries))
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
-    if isinstance(a, Circulant):
-        system_a, values = _row_pair_system(power, spectral), a.row
-    else:
-        system_a, values = attraction_system_for_matrix(a), [v for row in a.rows for v in row]
+    system_a = build_system_a()
     generators = system_a._generators
     if generators and all(map(ray_in_b, generators)):
         # Every greatest solution is a max-combination of the generators, so

@@ -4,12 +4,10 @@ A circulant is determined by its defining row (a_0, ..., a_{n-1}); entry
 (i, j) of the expanded matrix is a_t for t = (j - i) mod n.  For circulants
 the greatest eigenvalue is simply the largest defining entry, the critical
 digraph splits into gcd-determined isomorphic components, and the ultimate
-period of matrix powers is given by explicit gcd formulas.  The critical
-digraph is the threshold digraph at the eigenvalue: each edge i -> i+p of
-maximal weight closes a cycle of such edges under repeated +p.  One pass over
-it gives the cyclic classes and cross-checks the gcd components and the
-three equivalent gcd period formulas on every call; a disagreement is an
-implementation bug and raises ``InternalError``.
+period of matrix powers is given by explicit gcd formulas.  The gcd
+components and the three equivalent gcd period formulas are cross-checked
+against the graph-computed components and cyclicity on every call; a
+disagreement is an implementation bug and raises ``InternalError``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from .core import (
     as_scalar,
     power_by_squaring,
 )
-from .digraph import _cyclic_components, threshold_digraph
+from .digraph import digraph_cyclicity, threshold_digraph
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,6 @@ class CircSpectral:
     diagonal_is_maximal: bool  # a_0 attains the maximum
     component_count: int
     components: tuple[tuple[int, ...], ...]
-    cyclic_classes: tuple[tuple[tuple[int, ...], ...], ...]  # per component
     period: int
     period_formulas: tuple[int, int, int] | None  # None when the period is 1 by a_0
 
@@ -123,12 +120,11 @@ def _period_formulas(n: int, ps: tuple[int, ...]) -> tuple[int, int, int]:
 
 
 def circ_spectral(c: Circulant) -> CircSpectral:
-    """Eigenvalue, critical components, cyclic classes and period of a nonzero circulant.
+    """Eigenvalue, critical components and ultimate period of a nonzero circulant.
 
     Component node sets come from the gcd formula; the period is computed by
-    all three gcd expressions.  One pass over the threshold digraph at the
-    eigenvalue, which is the critical digraph, gives the cyclic classes; its
-    components and cyclicity must agree with the formulas.
+    all three gcd expressions.  Both must agree with the components and the
+    cyclicity of the threshold digraph at the eigenvalue.
     """
     if c.is_zero():
         raise ValueError("zero circulant has no critical structure")
@@ -150,11 +146,12 @@ def circ_spectral(c: Circulant) -> CircSpectral:
             raise InternalError(f"cyclicity formulas disagree: {formulas} for {c!r}")
         period = formulas[0]
 
-    graph_components, sigmas, classes = zip(*_cyclic_components(threshold_digraph(expand(c), lam)))
-    if graph_components != components or math.lcm(*sigmas) != period:
+    per, graph_sigma = digraph_cyclicity(threshold_digraph(expand(c), lam))
+    graph_components = tuple(comp for comp, _ in per)
+    if graph_components != components or graph_sigma != period:
         raise InternalError(
             f"gcd formulas give {components}, period {period}; threshold digraph gives"
-            f" {graph_components}, cyclicity {math.lcm(*sigmas)} for {c!r}"
+            f" {graph_components}, cyclicity {graph_sigma} for {c!r}"
         )
     return CircSpectral(
         eigenvalue=lam,
@@ -162,7 +159,6 @@ def circ_spectral(c: Circulant) -> CircSpectral:
         diagonal_is_maximal=a0_max,
         component_count=m,
         components=components,
-        cyclic_classes=classes,
         period=period,
         period_formulas=formulas,
     )

@@ -17,10 +17,8 @@ Problem kinds (the "kind" field selects one):
                                                 "brackets": "[]"}, ...],
                         "box": [... same shape ...]}
 
-A circulant analysis reads its spectrum, components, cyclic classes and
-period from ``circ_spectral`` and its transient from row powers, with no
-Karp, Kleene star or matrix product; a circulant attraction check checks
-system membership against the orbit period.
+A circulant attraction check also compares system membership with the orbit
+period; a disagreement exits 4.
 
 Exit codes: 0 success; 2 unreadable/invalid input, including a matrix outside
 the admissible class (not completely reducible, or without one positive
@@ -45,9 +43,9 @@ from .attraction import (
     attraction_system_for_matrix,
     check_attraction_inclusion,
 )
-from .circulant import Circulant, circ_spectral
+from .circulant import Circulant, circ_spectral, expand
 from .core import InternalError, MaxMatrix, MaxVector, as_scalar
-from .digraph import max_cycle_mean
+from .digraph import critical_structure, max_cycle_mean
 from .intervals import Box, ScalarInterval
 from .periodicity import NotAdmissible, orbit_period, transient_and_period
 from .robustness import IntervalCirculant, classify, envelope_circulant, envelope_in_interval
@@ -136,6 +134,7 @@ def _circulant_analysis(problem: dict, flags: dict) -> dict:
         return results
     spectral = circ_spectral(c)
     info = transient_and_period(c)
+    structure = critical_structure(expand(c))
     results.update(
         {
             "zero": False,
@@ -149,7 +148,7 @@ def _circulant_analysis(problem: dict, flags: dict) -> dict:
             else None,
             "transient": info.transient,
             "cyclic_classes": [
-                [list(cl) for cl in classes] for classes in spectral.cyclic_classes
+                [list(cl) for cl in classes] for classes in structure.cyclic_classes
             ],
         }
     )

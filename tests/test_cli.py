@@ -130,34 +130,6 @@ def test_attraction_check_cross_checks_the_system_against_the_orbit(tmp_path, mo
     assert run(problem, output=tmp_path / "report.json") == 4
 
 
-def test_circulant_analysis_runs_no_karp_kleene_star_or_matrix_product(tmp_path, monkeypatch):
-    # Components, cyclic classes and period come from circ_spectral, and the
-    # transient from powers of the defining row.
-    ran = []
-
-    def recording(name, original):
-        def wrapper(*args, **kwargs):
-            ran.append(name)
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    names = ("critical_structure", "max_cycle_mean", "component_cycle_means", "kleene_sum", "mat_power", "mat_mul")
-    for key, module in list(sys.modules.items()):
-        if key == "maxcirc" or key.startswith("maxcirc."):
-            for name in set(names) & set(vars(module)):
-                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
-    for row, classes in [
-        (["0", "0", "1", "1/2"], [[[1], [3]], [[2], [4]]]),
-        (["1", "1/2", "1/2"], [[[1]], [[2]], [[3]]]),
-        (["0", "1", "0", "1", "0", "0"], [[[1, 3, 5], [2, 4, 6]]]),
-    ]:
-        out = tmp_path / "report.json"
-        assert run(write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": row}), output=out) == 0
-        assert read_report(out)["results"]["cyclic_classes"] == classes
-    assert ran == []
-
-
 def test_inclusion_check_counterexample(tmp_path):
     problem = write_problem(
         tmp_path,
