@@ -14,9 +14,10 @@ building it needs no transient, no cycle mean and no matrix product.
 This module builds those systems, reduces them, decides membership, and
 checks inclusion between two attraction cones; a circulant operand of an
 inclusion check enters through its reduced system, whose A^(n^2) also starts
-a first operand's eigenvector window.  Inclusion is proved from the finite
-generating set of the first cone when that set is within its size limit and
-lies in the second cone; otherwise the cones are sampled for a counterexample.
+a first operand's eigenvector window.  Within its size limit, the finite
+generating set of the first cone decides inclusion: the first cone lies in
+the second exactly when every generator does.  Past the limit the first
+cone is sampled for a counterexample.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .twosided import (
     Scaled,
     TwoSidedSystem,
     _greatest,
-    _greatest_in_span,
     _holds,
     _reduced,
     _scaled,
@@ -143,11 +143,11 @@ def _row_pair_system(power: Circulant, spectral: CircSpectral) -> TwoSidedSystem
     return TwoSidedSystem(power.n, _dedup_equations(pairs))
 
 
-def in_attraction_cone(c: Circulant, x: MaxVector, mode: Mode = "min_transient") -> bool:
+def in_attraction_cone(c: Circulant, x: MaxVector) -> bool:
     """Membership of ``x`` in the attraction cone of a circulant."""
     if x.n != c.n:
         raise DimensionMismatch(f"vector size {x.n} vs circulant size {c.n}")
-    return satisfies(attraction_system(c, mode), x)
+    return satisfies(attraction_system(c), x)
 
 
 def in_attraction_cone_matrix(a: MaxMatrix, x: MaxVector) -> bool:
@@ -228,13 +228,12 @@ def cancel_reduce(system: TwoSidedSystem) -> TwoSidedSystem:
 class InclusionVerdict:
     """Outcome of an attraction-cone inclusion check.
 
-    ``consistent`` is a proof of inclusion when the generating set of the
-    first cone is within its size limit and lies in the second cone.
-    Otherwise it only means that no sampled member was a counterexample;
-    within the limit a generator outside the second cone already refutes
-    inclusion, but the sampler may miss it.  ``trials_run`` and
-    ``members_tested`` are the sampler's counts, also when the trials were
-    counted without being run.
+    Within the size limit of the first cone's generating set the verdict is
+    exact: ``consistent`` proves inclusion, and otherwise the counterexample
+    is a generator or a window eigenvector.  Past the limit ``consistent``
+    only means that no sampled member was a counterexample.  ``trials_run``
+    and ``members_tested`` are the sampler's counts, also when the trials
+    were counted without being run.
     """
 
     consistent: bool
@@ -314,27 +313,27 @@ def check_attraction_inclusion(
 ) -> InclusionVerdict:
     """Search for a member of the attraction cone of ``a`` outside that of ``b``.
 
-    Members of the first cone are generated three ways: eigenvectors built
-    from a period window of normalized powers, greatest solutions of the
-    defining system below randomized upper bounds (drawn from entry ratios of
-    ``a``), and random max-combinations of members already found.  Each
-    eigenvector and greatest solution is tested against the second cone; the
-    first failure is returned as a counterexample, otherwise the verdict is
-    consistent.  Both cones are max cones, so a max-combination of members
-    lies in both: it is counted, never formed.
+    Window eigenvectors of ``a`` (columns of a period window of normalized
+    powers) are probed first, and the first one outside the second cone is
+    the counterexample.  Then the generating set of the first cone, when
+    within its size limit, decides: a max cone is the max-span of its
+    generators, so the first cone lies in the second exactly when every
+    generator does.  The first failing generator, in generator order, is the
+    counterexample, and no trial runs.  When all of them pass, every trial
+    would pass too, so the verdict is consistent and the trials are counted
+    without being run.
 
-    After the eigenvectors, the generators of the first cone (when within
-    their size limit) are tested against the second.  When all of them pass,
-    the first cone is included in the second, so every trial would pass too:
-    the verdict is consistent and exact, and the trials are counted without
-    being run.  Otherwise the trials run and report the first counterexample
-    they reach, if any.
+    Only past the size limit do the trials run: greatest solutions of the
+    defining system below randomized upper bounds (drawn from entry ratios
+    of ``a``), each tested against the second cone, and random
+    max-combinations of members already found.  Both cones are max cones, so
+    a max-combination of members lies in both: it is counted, never formed.
+    The first failure is the counterexample; otherwise the verdict is
+    consistent, which then only means that no counterexample was found.
 
     Vectors are integer numerators over one denominator throughout.  The
     second cone is homogeneous, so a ray (a vector up to positive scaling)
-    already found in it is answered from a memo.  Greatest solutions are read
-    off the finite generating set of the first cone when it is within its
-    size limit, and come from the sweep otherwise.
+    already found in it is answered from a memo.
 
     A circulant operand's cone is defined by ``reduced_attraction_system``,
     whose solution set is that of ``attraction_system``: for two circulants
@@ -349,12 +348,11 @@ def check_attraction_inclusion(
         raise DimensionMismatch(f"matrix sizes differ: {a.n} vs {b.n}")
     n = a.n
     # Every probe lies in the cone of ``a`` by construction: a unit vector
-    # when ``a`` is zero, a window eigenvector, or a greatest solution of its
-    # system, which ``_greatest`` and ``_greatest_in_span`` check.  For an
-    # admissible ``a`` that system's solution set is the cone, so only the
-    # cone of ``b`` is tested.
+    # when ``a`` is zero, a window eigenvector, a generator of its system or
+    # a greatest solution of it, which ``_cone_generators`` and ``_greatest``
+    # check.  For an admissible ``a`` that system's solution set is the cone,
+    # so only the cone of ``b`` is tested.
     in_b = _membership_test(b)
-    rng = random.Random(seed)
 
     in_b_rays: set[tuple[int, ...]] = set()
     tested = 0
@@ -397,7 +395,12 @@ def check_attraction_inclusion(
 
     system_a = build_system_a()
     generators = system_a._generators
-    if generators and all(map(ray_in_b, generators)):
+    if generators is not None:
+        # A max cone is the max-span of its generators, so it lies in the
+        # cone of ``b`` exactly when every generator does.
+        bad = next((g for g in generators if not ray_in_b(g)), None)
+        if bad is not None:
+            return InclusionVerdict(False, _vector((bad, 1)), trials_run=0, members_tested=tested + 1)
         # Every greatest solution is a max-combination of the generators, so
         # it lies in the max cone of ``b``; below a positive upper bound it is
         # a nonzero ray and is counted.  Each trial therefore adds one member,
@@ -407,12 +410,12 @@ def check_attraction_inclusion(
         return InclusionVerdict(True, None, trials_run=trials, members_tested=members)
     entries = sorted({v for v in values if v > 0})
     pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))
-    spanned = generators is not None
     cap = system_a.iteration_cap
+    rng = random.Random(seed)
     for trial in range(trials):
         upper = _reduced([rng.choice(pool_nums) for _ in range(n)], pool_den)
         try:
-            g = _greatest_in_span(system_a, upper) if spanned else _greatest(system_a, upper, cap)
+            g = _greatest(system_a, upper, cap)
         except IterationCapExceeded:
             continue
         # A max-combination of two members with two pool coefficients lies in

@@ -27,8 +27,7 @@ stored gathered, as an ``itemgetter`` over its indices and a tuple of
 coefficients, so evaluating it is one ``max(map(mul, ...))``.
 
 A solution cone is also spanned by finitely many extreme rays, which
-tropical double description finds within a size limit; the greatest
-solution below a bound is then read off them without sweeping.
+tropical double description finds within a size limit.
 
 No polynomial-time claim is made for any of this.
 """
@@ -237,32 +236,6 @@ def _greatest(system: TwoSidedSystem, upper: Scaled, cap: int) -> Scaled:
     result = _fixpoint(system, upper, cap)
     if not _holds(system._scaled_equations, result[0]):
         raise InternalError("stabilized iterate does not solve the system")
-    return result
-
-
-def _greatest_in_span(system: TwoSidedSystem, upper: Scaled) -> Scaled:
-    """Greatest solution at or below a gcd-reduced ``upper``, from the generators, checked.
-
-    The largest multiple of a generator g at or below u is min u_i / g_i over
-    the support of g, times g; the greatest solution is the max of these
-    multiples.  ``system._generators`` must not be None.
-    """
-    nums, den = upper
-    multiples = []
-    for g in system._generators:
-        u_k = g_k = 0
-        for u, v in zip(nums, g):
-            if v and (not g_k or u * g_k < u_k * v):
-                u_k, g_k = u, v
-                if not u:
-                    break
-        if u_k:
-            multiples.append((u_k, g_k, g))
-    scale = lcm(*(g_k for _, g_k, _ in multiples))
-    rows = [[u_k * (scale // g_k) * v for v in g] for u_k, g_k, g in multiples]
-    result = _reduced([max(col) for col in zip(*rows)] if rows else [0] * len(nums), den * scale)
-    if not _holds(system._scaled_equations, result[0]):
-        raise InternalError("greatest element of the generators' span does not solve the system")
     return result
 
 

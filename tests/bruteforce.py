@@ -126,10 +126,25 @@ def component_cyclicity_brute(n, edges, comp):
 # --- membership and feasibility ------------------------------------------------
 
 
-def orbit_member(a, x, bound=None):
-    """Whether the orbit of x hits the eigencone, straight from the definition."""
+def eigenvalue(a):
+    """The maximum cycle mean as a Fraction; None when it is irrational or A is acyclic."""
+    best = best_cycle_mean(a)
+    if best is None:
+        return None
+    w, l = best
+    root = F(round(w.numerator ** (1 / l)), round(w.denominator ** (1 / l)))
+    return root if root**l == w else None
+
+
+def orbit_member(a, x, bound=None, lam=None):
+    """Whether the orbit of x hits the eigencone, straight from the definition.
+
+    ``lam`` is the eigenvalue of A; it defaults to the largest entry, which is
+    the eigenvalue of every circulant.
+    """
     n = len(a)
-    lam = max(v for row in a for v in row)
+    if lam is None:
+        lam = max(v for row in a for v in row)
     if lam == 0:
         return True
     if bound is None:

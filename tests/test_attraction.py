@@ -126,7 +126,7 @@ def test_reduced_system_empty_when_single_cyclic_class():
 def test_membership_running_example():
     x = MaxVector.of(["1/2", 1, "1/4", 1])
     assert in_attraction_cone(A31, x)
-    assert in_attraction_cone(A31, x, mode="exact_n2")
+    assert satisfies(attraction_system(A31, "exact_n2"), x)
 
 
 def test_membership_example_pair():
@@ -416,11 +416,28 @@ def test_inclusion_is_decided_from_the_generators_without_trials(monkeypatch, a,
 
     a, b = Circulant.of(a), Circulant.of(b)
     assert reduced_attraction_system(a)._generators is not None
-    monkeypatch.setattr(attraction, "_greatest_in_span", no_trials)
     monkeypatch.setattr(attraction, "_greatest", no_trials)
     assert check_attraction_inclusion(a, b, trials=trials, seed=seed) == InclusionVerdict(
         True, None, trials_run=trials, members_tested=members
     )
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([0, 0, 0, 0, "1/4", "1/4"], ["1/4", 0, "1/2", "1/2", "3/4", 1]),
+        ([0, "1/2", "1/2", "1/2", "1/2"], [0, 0, "1/4", "1/2", 0]),  # benchmark inclusion problem 235, seed 2
+    ],
+)
+def test_a_generator_outside_the_second_cone_is_a_counterexample(a, b):
+    # Every window eigenvector of A lies in B's cone, so a generator refutes
+    # the inclusion.
+    a, b = Circulant.of(a), Circulant.of(b)
+    verdict = check_attraction_inclusion(a, b)
+    assert not verdict.consistent and verdict.trials_run == 0
+    x = verdict.counterexample.entries
+    assert bf.orbit_member(expand(a).rows, x)
+    assert not bf.orbit_member(expand(b).rows, x)
 
 
 def test_inclusion_rejects_negative_trials():
@@ -523,27 +540,76 @@ def oracle_equations(m):
     return eq_tuples(system)
 
 
+def generators_of(a):
+    """The generating set of A's cone as the inclusion check builds it; None
+    for a zero ``a`` or past the size limit."""
+    if a.is_zero():
+        return None
+    system = reduced_attraction_system(a) if isinstance(a, Circulant) else attraction_system_for_matrix(a)
+    return system._generators
+
+
+# Past every orbit transient of the operands that ``inclusion_operands`` draws.
+ORBIT_BOUND = 100
+
+
+def orbit_member(m, x):
+    """Membership in the attraction cone of ``m`` by following the orbit of x."""
+    if m.is_zero():
+        return True
+    rows = expand(m).rows if isinstance(m, Circulant) else m.rows
+    return bf.orbit_member(rows, x, bound=ORBIT_BOUND, lam=bf.eigenvalue(rows))
+
+
+def sampled_verdict(a, b, trials, seed):
+    rows = expand(a).rows if isinstance(a, Circulant) else a.rows
+    return bf.inclusion_sample(rows, oracle_equations(a), oracle_equations(b), trials, seed)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(inclusion_operands(), st.integers(0, 60), st.integers(0, 3))
 def test_inclusion_verdict_equals_the_fraction_sampler(operands, trials, seed):
+    # Without a generating set the verdict is the sampler's.  With one, A's
+    # cone lies in B's exactly when every generator does, and a refutation
+    # is a window eigenvector or else the first generator outside B's cone.
     a, b = operands
     got = check_attraction_inclusion(a, b, trials=trials, seed=seed)
-    rows = expand(a).rows if isinstance(a, Circulant) else a.rows
-    want = bf.inclusion_sample(rows, oracle_equations(a), oracle_equations(b), trials, seed)
     counterexample = got.counterexample.entries if got.counterexample else None
-    assert (got.consistent, counterexample, got.trials_run, got.members_tested) == want
+    verdict = (got.consistent, counterexample, got.trials_run, got.members_tested)
+    sampled = sampled_verdict(a, b, trials, seed)
+    if not sampled[0]:
+        assert not got.consistent
+    generators = generators_of(a)
+    if generators is None:
+        assert verdict == sampled
+        return
+    failing = [tuple(map(F, g)) for g in generators if not orbit_member(b, g)]
+    assert got.consistent == (not failing)
+    if got.consistent:
+        assert verdict == sampled  # the trials are counted as they would run
+        return
+    assert orbit_member(a, counterexample) and not orbit_member(b, counterexample)
+    windowed = sampled_verdict(a, b, 0, seed)
+    assert verdict == (windowed if not windowed[0] else (False, failing[0], 0, windowed[3] + 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(inclusion_operands(), st.integers(0, 60), st.integers(0, 3))
-def test_inclusion_verdict_is_the_same_from_the_sweep(operands, trials, seed):
+def test_inclusion_verdict_from_the_sweep_is_never_stronger(operands, trials, seed):
+    # With no generating set the sampler can miss a counterexample, but it
+    # can never refute an inclusion that the generators prove.
     import maxcirc.twosided as twosided
 
     a, b = operands
-    spanned = check_attraction_inclusion(a, b, trials=trials, seed=seed)
+    exact = check_attraction_inclusion(a, b, trials=trials, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(twosided, "_GENERATOR_CANDIDATE_LIMIT", 0)
-        assert check_attraction_inclusion(a, b, trials=trials, seed=seed) == spanned
+        swept = check_attraction_inclusion(a, b, trials=trials, seed=seed)
+    if exact.consistent:
+        assert swept == exact
+    elif not swept.consistent:
+        x = swept.counterexample.entries
+        assert orbit_member(a, x) and not orbit_member(b, x)
 
 
 def test_inclusion_past_the_generator_limit_samples_by_the_sweep():

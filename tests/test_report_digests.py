@@ -69,7 +69,7 @@ PINNED = {
         "feec1b74562a3c8885761a0e15861acf376240a153118bae6d443599d8a6d2f7",
         "df1615337549f74e23ed64f5a8fd1ce9e3ea5e858f548a68335e49a0caf86d21",
         "c7ae34dbfa32de1c1fcb82bb8cb0d2d0b5fa2739d0ce55fee34d9ee57c08089b",
-        "b54b57ee99737ac2865fe663cdf5fab0fef0b34978d2278b07dec42c0e6963ae",
+        "cde246ec1a75188de87f2c938d0d2d370fce2f2077ec5a168cff4514bb77e14a",
         "9c05efbd23fec57b78dad1792ac0aee25ddce76fbb66ad7050bb6635cb7a791c",
         "d2e5b74cc5d42efb992265ef101f0cd8bbca5415fe3e26cc21cdd63208562cfe",
         "7ea152d3e2414445715221cf9d1800fad272bb9ee4982b50c024d0e284473d37",
@@ -114,11 +114,11 @@ PINNED_WIDE = (
     "a18539d638955c573dac05e705bda1eefac19e498e6cf42c8c273fca941d95bb",
     "f84c5e75d2019d41a5517bd221237d847227bd9936a63fbbae9c96cbcadaab2d",
     "da8108c66725785fcc8050660196a56fc0c7e6d435d1f4bcf736fc1f935d963b",
-    "a7aa092f84545c9bb08baf125cf8a003a823f27d07e2ab40754e6a2a79cfa874",
+    "933e38c7ce330131b463d080a82bf1883e1638ee9b79a2134b933df863c1184d",
     "e50081ee1454d8d2cd8e9917a7779968411a497283264a41e44d88b9407dc315",
     "28c5a567f386cf5065bafa253574f7655d1c039c7e05321edff23d057c7dc636",
     "c68232709d768a55359c257fec01c57bfe33f09c186543b1b9b41cc91f233aa9",
-    "7a2e5158922c232cd708baaf2e4b6fef2537affdc959c8381bfe207e738ee8e3",
+    "3226d8d1915b740a3583ec46403c54b110d3a4ad9a4c15920b2b0bd8e724d162",
     "3552c01dea79892ed94cbb58298270ca9b0e5f81b326d0fcee0aaa1a6f1c824a",
     "aecf7715dd1561501043b48aca92cc8937f6deacd45ba170d3adc5950f65969f",
     "672da99036276d7d76e8c6f79963e8ae336ce0f086bb8cb4c4170c442832e138",

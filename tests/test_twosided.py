@@ -20,7 +20,6 @@ from maxcirc import (
     satisfies,
     simultaneous_feasible,
 )
-from maxcirc.twosided import _greatest_in_span, _scaled, _vector
 
 import bruteforce as bf
 
@@ -346,7 +345,7 @@ def test_greatest_solution_from_generators_agrees_with_the_rational_sweep(data):
         want = bf.greatest_solution_sweep(n, eqs, upper)
     except bf.SweepCapExceeded:
         return
-    assert _vector(_greatest_in_span(TwoSidedSystem.of(n, eqs), _scaled(upper))).entries == want
+    assert bf.span_greatest(TwoSidedSystem.of(n, eqs)._generators, upper) == want
 
 
 def test_primitive_circulant_cone_is_the_all_ones_ray():
