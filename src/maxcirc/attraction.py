@@ -29,7 +29,7 @@ from functools import cache, partial
 from math import gcd
 from typing import Literal, Sequence
 
-from .circulant import CircSpectral, Circulant, circ_mul, circ_power, circ_spectral, expand
+from .circulant import CircSpectral, Circulant, _int_product, circ_power, circ_spectral, expand
 from .core import (
     ONE,
     ZERO,
@@ -37,6 +37,7 @@ from .core import (
     InternalError,
     MaxMatrix,
     MaxVector,
+    _scaled,
     kleene_sum,
     mat_mul,
     mat_power,
@@ -50,7 +51,6 @@ from .twosided import (
     _greatest,
     _holds,
     _reduced,
-    _scaled,
     _vector,
     satisfies,
 )
@@ -128,8 +128,8 @@ def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
     component with a single cyclic class contributes nothing: all its rows of
     A^(n^2) coincide.  The solution set is that of ``attraction_system``.
 
-    A^(n^2) is taken on the defining row by repeated squaring and expanded
-    only to read its rows; the components come from the gcd formula.
+    A^(n^2) is taken on the defining row by repeated squaring, and its rows
+    are rotations of that row; the components come from the gcd formula.
     """
     if c.is_zero():
         raise ValueError("zero circulant has no reduced attraction system")
@@ -138,9 +138,11 @@ def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
 
 def _row_pair_system(power: Circulant, spectral: CircSpectral) -> TwoSidedSystem:
     """``reduced_attraction_system`` from A^(n^2) and the spectral data of A."""
-    rows = expand(power).rows
+    n, row = power.n, power.row
+    # Row i (0-based) of the expanded power is its defining row rotated right by i.
+    rows = [row[n - i :] + row[: n - i] for i in range(n)]
     pairs = [(rows[i - 1], rows[j - 1]) for comp in spectral.components for i, j in zip(comp, comp[1:])]
-    return TwoSidedSystem(power.n, _dedup_equations(pairs))
+    return TwoSidedSystem(n, _dedup_equations(pairs))
 
 
 def in_attraction_cone(c: Circulant, x: MaxVector) -> bool:
@@ -291,17 +293,25 @@ def _circulant_window_eigenvectors(c: Circulant, power: Circulant, spectral: Cir
     Past the transient the window's set of powers does not depend on where it
     starts, so it starts at n^2 with A^(n^2) / lambda^(n^2) = (A/lambda)^(n^2).
     Later powers are taken on defining rows, and p is the gcd-formula period.
+
+    The window runs on integer numerators.  With A's row N / D and W the
+    largest numerator, (A/lambda)^t is N_t / W^t, where N_t is the numerator
+    row of A^t over D^t.  Over the common denominator W^(n^2+p-1) the window
+    is the max over s of N_(n^2+s) * W^(p-1-s), accumulated as
+    max(window * W, N_(n^2+s)).
     """
     n = c.n
-    lam = spectral.eigenvalue
-    step = Circulant(tuple(v / lam for v in c.row))
-    scale = lam ** (n * n)
-    scaled = Circulant(tuple(v / scale for v in power.row))
-    window = scaled.row
+    nums, den = _scaled(c.row)
+    w = max(nums)
+    power_den = den ** (n * n)
+    current = tuple(v.numerator * (power_den // v.denominator) for v in power.row)  # N_(n^2)
+    window = current
     for _ in range(spectral.period - 1):
-        scaled = circ_mul(scaled, step)
-        window = tuple(map(max, window, scaled.row))
-    columns = (tuple(window[(j - i) % n] for i in range(n)) for j in range(n))
+        current = _int_product(current, nums)
+        window = tuple(max(x * w, v) for x, v in zip(window, current))
+    scale = w ** (n * n + spectral.period - 1)
+    row = tuple(Fraction(v, scale) for v in window)
+    columns = (tuple(row[(j - i) % n] for i in range(n)) for j in range(n))
     return [MaxVector(col) for col in columns if any(col)]
 
 

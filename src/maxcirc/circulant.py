@@ -1,13 +1,17 @@
 """Circulant matrices in the max-times semiring and their closed-form spectra.
 
 A circulant is determined by its defining row (a_0, ..., a_{n-1}); entry
-(i, j) of the expanded matrix is a_t for t = (j - i) mod n.  For circulants
-the greatest eigenvalue is simply the largest defining entry, the critical
-digraph splits into gcd-determined isomorphic components, and the ultimate
-period of matrix powers is given by explicit gcd formulas.  The gcd
-components and the three equivalent gcd period formulas are cross-checked
-against the graph-computed components and cyclicity on every call; a
-disagreement is an implementation bug and raises ``InternalError``.
+(i, j) of the expanded matrix is a_t for t = (j - i) mod n.  Products and
+powers are taken on defining rows, with integer numerators over the lcm D of
+the row's denominators (the t-th power over D^t), so no entry product runs a
+gcd; the results are exact and are the same rationals as the products of the
+expanded matrices.  For circulants the greatest eigenvalue is simply the
+largest defining entry, the critical digraph splits into gcd-determined
+isomorphic components, and the ultimate period of matrix powers is given by
+explicit gcd formulas.  The gcd components and the three equivalent gcd
+period formulas are cross-checked against the graph-computed components and
+cyclicity on every call; a disagreement is an implementation bug and raises
+``InternalError``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .core import (
@@ -22,6 +27,7 @@ from .core import (
     InternalError,
     MaxMatrix,
     ScalarLike,
+    _scaled,
     as_scalar,
     power_by_squaring,
 )
@@ -30,17 +36,23 @@ from .digraph import digraph_cyclicity, threshold_digraph
 
 @dataclass(frozen=True)
 class Circulant:
-    """Circulant matrix, stored as its defining row."""
+    """Circulant matrix, stored as its defining row.
+
+    Each entry is coerced by ``as_scalar``: ints and ``"p/q"`` strings become
+    ``Fraction``s, a float raises ``TypeError`` and a negative value raises
+    ``ValueError``.
+    """
 
     row: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.row) < 1:
             raise ValueError("circulant needs at least one defining entry")
+        object.__setattr__(self, "row", tuple(map(as_scalar, self.row)))
 
     @classmethod
     def of(cls, values: Iterable[ScalarLike]) -> "Circulant":
-        return cls(tuple(as_scalar(v) for v in values))
+        return cls(tuple(values))
 
     @classmethod
     def identity(cls, n: int) -> "Circulant":
@@ -65,18 +77,37 @@ def expand(c: Circulant) -> MaxMatrix:
     )
 
 
+def _int_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Defining row of the product of two circulants given by integer rows.
+
+    Entry k is the max over i of a[i] * b[(k - i) mod n].  The slices
+    ``b[k::-1] + b[:k:-1]`` list b[k - i] for i = 0..n-1, where Python's
+    negative index is the cyclic rotation.
+    """
+    return tuple(max(map(mul, a, b[k::-1] + b[:k:-1])) for k in range(len(a)))
+
+
+def _from_numerators(nums: tuple[int, ...], den: int) -> Circulant:
+    return Circulant(tuple(Fraction(v, den) for v in nums))
+
+
 def circ_mul(c: Circulant, d: Circulant) -> Circulant:
     """Product of circulants, computed directly on defining rows in O(n^2)."""
     if c.n != d.n:
         raise DimensionMismatch(f"circulant sizes differ: {c.n} vs {d.n}")
-    n = c.n
-    a, b = c.row, d.row
-    return Circulant(tuple(max(a[i] * b[(k - i) % n] for i in range(n)) for k in range(n)))
+    (a, da), (b, db) = _scaled(c.row), _scaled(d.row)
+    return _from_numerators(_int_product(a, b), da * db)
 
 
 def circ_power(c: Circulant, t: int) -> Circulant:
-    """t-th power on defining rows by repeated squaring (t = 0 gives identity)."""
-    return power_by_squaring(c, t, circ_mul, Circulant.identity(c.n))
+    """t-th power on defining rows by repeated squaring (t = 0 gives identity).
+
+    The numerator row over D is squared as integers; the t-th power is its
+    result over D^t.
+    """
+    nums, den = _scaled(c.row)
+    identity = (1,) + (0,) * (c.n - 1)
+    return _from_numerators(power_by_squaring(nums, t, _int_product, identity), den**t)
 
 
 def circ_lambda(c: Circulant) -> Fraction:

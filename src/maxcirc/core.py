@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from math import lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 ScalarLike = Union[Fraction, int, str]
+Scaled = tuple[tuple[int, ...], int]  # integer numerators over one positive denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,9 +39,15 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"floats are not exact; pass an int, Fraction or 'p/q' string: {value!r}")
     q = value if isinstance(value, Fraction) else Fraction(value)
-    if q < 0:
+    if q.numerator < 0:  # a Fraction's denominator is positive
         raise ValueError(f"negative value not allowed in the max-times semiring: {value!r}")
     return q
+
+
+def _scaled(values: Sequence[Fraction]) -> Scaled:
+    """Numerators over the lcm of the denominators (already in lowest terms)."""
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .circulant import Circulant, circ_mul, circ_period, expand
-from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, mat_mul, mat_vec
+from .circulant import Circulant, _int_product, circ_period, expand
+from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, _scaled, mat_mul, mat_vec
 from .digraph import component_cycle_means, pair_eq
 
 # Hard stop for repeat detection.  The (n-1)^2+1 transient bound is proved
@@ -105,15 +105,22 @@ def _flat_entries(a: MaxMatrix) -> tuple[Fraction, ...]:
 def transient_and_period(a: Circulant | MaxMatrix) -> PeriodicityInfo:
     """Minimal transient and ultimate period of the normalized power sequence.
 
-    Powers of a ``Circulant`` are taken on defining rows, and the result is
-    cross-checked against the closed-form period and the (n-1)^2+1 transient
-    bound; failure of either check raises ``InternalError``.
+    Powers of a ``Circulant`` are taken on defining rows of integer
+    numerators: with the row N / D and W the largest numerator, lambda is
+    W / D and the normalized t-th power is N_t / W^t, so the repeat is
+    detected on N_t with the class (W, 1).  The result is cross-checked
+    against the closed-form period and the (n-1)^2+1 transient bound;
+    failure of either check raises ``InternalError``.
     """
     w, l = _admissible_lambda_class(a)
     if isinstance(a, MaxMatrix):
         transient, period = _detect_repeat(lambda p: mat_mul(p, a), a, _flat_entries, w, l)
         return PeriodicityInfo(transient=transient, period=period)
-    transient, period = _detect_repeat(lambda p: circ_mul(p, a), a, attrgetter("row"), w, l)
+    nums, _ = _scaled(a.row)
+    # W as a Fraction: the fingerprint divides by W^t exactly, not as floats.
+    transient, period = _detect_repeat(
+        lambda p: _int_product(p, nums), nums, tuple, Fraction(max(nums)), 1
+    )
     expected = circ_period(a)
     if period != expected:
         raise InternalError(f"power period {period} != circulant formula period {expected}")

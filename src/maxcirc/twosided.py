@@ -42,7 +42,17 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
-from .core import ONE, ZERO, DimensionMismatch, InternalError, MaxVector, ScalarLike, as_scalar
+from .core import (
+    ONE,
+    ZERO,
+    DimensionMismatch,
+    InternalError,
+    MaxVector,
+    ScalarLike,
+    Scaled,
+    _scaled,
+    as_scalar,
+)
 from .intervals import Box
 
 # Sparse terms of an integer-scaled equation: (0-based index, coefficient > 0).
@@ -51,8 +61,6 @@ Terms = tuple[tuple[int, int], ...]
 Gathered = tuple[itemgetter, tuple[int, ...]]
 # An integer-scaled equation: gathered lhs, gathered rhs, the terms of both.
 ScaledEquation = tuple[itemgetter, tuple[int, ...], itemgetter, tuple[int, ...], Terms]
-# An iterate: numerators over one shared denominator.
-Scaled = tuple[tuple[int, ...], int]
 
 
 class IterationCapExceeded(RuntimeError):
@@ -131,12 +139,6 @@ def _gathered(terms: Terms) -> Gathered:
     """
     padded = terms + ((0, 0),) * (2 - len(terms))
     return itemgetter(*(j for j, _ in padded)), tuple(c for _, c in padded)
-
-
-def _scaled(values: Sequence[Fraction]) -> Scaled:
-    """Numerators over the lcm of the denominators (already in lowest terms)."""
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def _reduced(nums: Sequence[int], den: int) -> Scaled:

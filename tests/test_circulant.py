@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxcirc import (
     Circulant,
     DimensionMismatch,
+    NotAdmissible,
     circ_critical_components,
     circ_lambda,
     circ_mul,
@@ -17,7 +18,9 @@ from maxcirc import (
     critical_structure,
     expand,
     mat_mul,
+    mat_power,
     max_cycle_mean,
+    transient_and_period,
 )
 
 
@@ -45,6 +48,28 @@ def test_expand_six_cycle_permutation():
     for i in range(6):
         for j in range(6):
             assert a.rows[i][j] == (1 if (j - i) % 6 == 1 else 0)
+
+
+def test_construction_coerces_entries_like_of():
+    c = Circulant((2, 1, 0))
+    assert c == Circulant.of([2, 1, 0])
+    assert all(type(v) is F for v in c.row)
+    assert transient_and_period(c) == transient_and_period(expand(c))
+    assert Circulant(("1/2", F(1, 3))).row == (F(1, 2), F(1, 3))
+
+
+def test_construction_rejects_floats():
+    with pytest.raises(TypeError, match="floats are not exact"):
+        Circulant((0.5, -1, 0))
+    with pytest.raises(TypeError, match="floats are not exact"):
+        Circulant((F(1, 2), 1.0))
+
+
+def test_construction_rejects_negative_entries():
+    with pytest.raises(ValueError, match="negative"):
+        Circulant((0, -1, 0))
+    with pytest.raises(ValueError, match="negative"):
+        Circulant((F(1, 2), F(-1, 3)))
 
 
 def test_circ_mul_examples():
@@ -190,3 +215,33 @@ def test_equal_weight_cycle_through_every_nonzero_entry():
                     assert a.rows[node - 1][nxt - 1] == w
                     node = nxt
                 assert node == i
+
+
+# Denominators 3, 4 and 7 mixed in one row, and entries above 1.
+KERNEL_POOL = [0, F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(2, 7), F(6, 7), 1, F(4, 3), F(7, 4), F(9, 7), 2]
+
+
+@st.composite
+def circulant_pairs(draw):
+    n = draw(st.integers(1, 8))
+    rows = st.one_of(st.just([0] * n), st.lists(st.sampled_from(KERNEL_POOL), min_size=n, max_size=n))
+    return Circulant.of(draw(rows)), Circulant.of(draw(rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(circulant_pairs())
+def test_integer_kernel_matches_fraction_matrices(pair):
+    # Circulant products, powers and repeat detection run on integer
+    # numerators; the matrix path runs on Fractions, an independent reference.
+    c, d = pair
+    n = c.n
+    a = expand(c)
+    assert expand(circ_mul(c, d)) == mat_mul(a, expand(d))
+    for t in (0, 1, 2, n * n, n * n + 1):
+        assert expand(circ_power(c, t)) == mat_power(a, t)
+    if c.is_zero():
+        for m in (c, a):
+            with pytest.raises(NotAdmissible):
+                transient_and_period(m)
+    else:
+        assert transient_and_period(c) == transient_and_period(a)
