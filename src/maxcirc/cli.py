@@ -20,13 +20,16 @@ Problem kinds (the "kind" field selects one):
 A circulant attraction check also compares system membership with the orbit
 period; a disagreement exits 4.
 
-Exit codes: 0 success; 2 unreadable/invalid input, including a matrix outside
-the admissible class (not completely reducible, or without one positive
-maximum cycle mean shared by its components), an inclusion check whose
-operands differ in size or whose ``a`` has an irrational eigenvalue, or an
-invalid flag value (a negative trials count, decimals outside
-0..MAX_DECIMALS); 3 analysis ran but every classifier answered
-hypothesis_not_met; 4 internal cross-check failure.
+Exit codes: 0 success; 2 unreadable/invalid input or unwritable output,
+including a problem file that cannot be read, is not UTF-8 or is not JSON
+that Python can parse (an integer past its digit limit, nesting past the
+recursion limit), a JSON true/false where a number belongs, an --output path
+that cannot be written, a matrix outside the admissible class (not
+completely reducible, or without one positive maximum cycle mean shared by
+its components), an inclusion check whose operands differ in size or whose
+``a`` has an irrational eigenvalue, or an invalid flag value (a negative
+trials count, decimals outside 0..MAX_DECIMALS); 3 analysis ran but every
+classifier answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def _fmt_decimal(q: Fraction, places: int) -> str:
 
 
 def _parse_scalar(value, where: str) -> Fraction:
-    if not isinstance(value, (str, int)):
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ProblemError(f"{where}: expected an integer or 'p/q' string, got {value!r}")
     try:
         return as_scalar(value)
@@ -185,7 +188,8 @@ def _inclusion_check(problem: dict, flags: dict) -> dict:
     if a.n != b.n:
         raise ProblemError(f"a and b sizes differ: {a.n} vs {b.n}")
     if isinstance(a, MaxMatrix) and (cm := max_cycle_mean(a)) is not None and cm.value is None:
-        # The sampler draws from a's attraction system, which needs a rational eigenvalue.
+        # A's generating set and the sampler both come from a's attraction
+        # system, which needs a rational eigenvalue.
         raise ProblemError("a: the eigenvalue is irrational, so the attraction system is undefined")
     verdict = check_attraction_inclusion(a, b, trials=flags["trials"], seed=flags["seed"])
     return {
@@ -247,12 +251,12 @@ def run(
         if decimals is not None and not 0 <= decimals <= MAX_DECIMALS:
             raise ProblemError(f"decimals must be in 0..{MAX_DECIMALS}: got {decimals}")
         try:
-            text = Path(problem_path).read_text()
-        except OSError as exc:
+            text = Path(problem_path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ProblemError(f"cannot read {problem_path}: {exc}") from exc
         try:
             problem = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, an over-long integer, deep nesting
             raise ProblemError(f"invalid JSON: {exc}") from exc
         if not isinstance(problem, dict):
             raise ProblemError("top level must be an object")
@@ -283,7 +287,11 @@ def run(
     if output is None:
         sys.stdout.write(payload)
     else:
-        Path(output).write_text(payload)
+        try:
+            Path(output).write_text(payload)
+        except OSError as exc:
+            print(f"error: cannot write {output}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     if results.get("hypotheses_unmet"):
         return EXIT_HYPOTHESIS
     return EXIT_OK

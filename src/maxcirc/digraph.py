@@ -112,18 +112,15 @@ def is_completely_reducible(g: Digraph) -> bool:
 
 @dataclass(frozen=True)
 class CycleMean:
-    """A maximum-cycle-mean certificate.
+    """A maximum cycle mean, carried as a (weight, length) pair.
 
-    ``weight`` and ``length`` describe the witness cycle; the geometric mean
-    is weight^(1/length).  ``value`` is that mean when it is an exact
-    rational, and None otherwise (the pair itself stays the exact carrier).
-    The witness cycle is a node sequence (v1,...,vk) standing for the edge
-    cycle v1->v2->...->vk->v1.
+    The geometric mean is weight^(1/length).  ``value`` is that mean when it
+    is an exact rational, and None otherwise (the pair itself stays the
+    exact carrier).
     """
 
     weight: Fraction
     length: int
-    witness_cycle: tuple[int, ...]
 
     @property
     def value(self) -> Fraction | None:
@@ -218,64 +215,17 @@ def component_cycle_means(a: MaxMatrix) -> tuple[bool, list[tuple[Fraction, int]
     return _edges_within(g, comps), classes
 
 
-def _lambda_class_and_critical_edges(
-    a: MaxMatrix,
-) -> tuple[tuple[Fraction, int], frozenset[tuple[int, int]]] | None:
-    """Maximum cycle mean class plus the set of critical edges; None if acyclic.
-
-    The critical test stays in exact rationals even when the mean itself is
-    irrational: with the mean class (w, l), the rescaled matrix with entries
-    a_ij^l / w has maximum cycle mean exactly 1 and the same critical edges,
-    so the usual Kleene-star criterion applies to it directly.
-    """
-    best: tuple[Fraction, int] | None = None
-    _, classes = component_cycle_means(a)
-    for cls in classes:
-        if best is None or _pair_lt(best, cls):
-            best = cls
-    if best is None:
-        return None
-    w, l = best
-    n = a.n
-    scaled = MaxMatrix(
-        tuple(tuple((v**l) / w if v > 0 else ZERO for v in row) for row in a.rows)
-    )
-    star = kleene_sum(scaled)
-    crit = frozenset(
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in range(n)
-        if scaled.rows[i][j] > 0 and scaled.rows[i][j] * star.rows[j][i] == 1
-    )
-    return best, crit
-
-
 def max_cycle_mean(a: MaxMatrix) -> CycleMean | None:
-    """Greatest geometric cycle mean with a witness cycle; None if acyclic.
+    """Greatest geometric cycle mean: the best class of ``component_cycle_means``.
 
     ``None`` corresponds to the caller convention that an acyclic matrix has
     greatest eigenvalue 0.
     """
-    found = _lambda_class_and_critical_edges(a)
-    if found is None:
-        return None
-    _, crit = found
-    succ: dict[int, list[int]] = {}
-    for i, j in sorted(crit):
-        succ.setdefault(i, []).append(j)
-    start = min(succ)
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    v = start
-    while v not in seen:
-        seen[v] = len(path)
-        path.append(v)
-        v = succ[v][0]
-    cycle = tuple(path[seen[v]:])
-    weight = ONE
-    for k, u in enumerate(cycle):
-        weight *= a.rows[u - 1][cycle[(k + 1) % len(cycle)] - 1]
-    return CycleMean(weight=weight, length=len(cycle), witness_cycle=cycle)
+    best: tuple[Fraction, int] | None = None
+    for cls in component_cycle_means(a)[1]:
+        if best is None or _pair_lt(best, cls):
+            best = cls
+    return None if best is None else CycleMean(*best)
 
 
 # --- critical structure ----------------------------------------------------
@@ -374,15 +324,31 @@ def digraph_cyclicity(g: Digraph) -> tuple[tuple[tuple[tuple[int, ...], int], ..
 def critical_structure(a: MaxMatrix) -> CriticalStructure:
     """Critical digraph of ``a`` with components, cyclicities and cyclic classes.
 
-    Requires a positive maximum cycle mean.
+    Requires a positive maximum cycle mean.  The critical test stays in
+    exact rationals even when the mean itself is irrational: with the mean
+    class (w, l) of ``max_cycle_mean``, the rescaled matrix with entries
+    a_ij^l / w has maximum cycle mean exactly 1 and the same critical edges,
+    so an edge is critical exactly when it closes a cycle of weight 1 in the
+    Kleene star of that matrix.
     """
-    found = _lambda_class_and_critical_edges(a)
-    if found is None:
+    cm = max_cycle_mean(a)
+    if cm is None:
         raise ValueError("no critical structure: maximum cycle mean is zero")
-    _, crit_edges = found
+    w, l = cm.as_pair()
+    n = a.n
+    scaled = MaxMatrix(
+        tuple(tuple((v**l) / w if v > 0 else ZERO for v in row) for row in a.rows)
+    )
+    star = kleene_sum(scaled)
+    crit_edges = frozenset(
+        (i + 1, j + 1)
+        for i in range(n)
+        for j in range(n)
+        if scaled.rows[i][j] > 0 and scaled.rows[i][j] * star.rows[j][i] == 1
+    )
     # Every critical edge lies on a critical cycle, so the critical digraph is
     # completely reducible.
-    cyclic = _cyclic_components(Digraph(a.n, crit_edges))
+    cyclic = _cyclic_components(Digraph(n, crit_edges))
     per_sigma = tuple(sigma for _, sigma, _ in cyclic)
     return CriticalStructure(
         critical_nodes=frozenset(v for e in crit_edges for v in e),

@@ -227,20 +227,11 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
     else:
         possibly = env_hypothesis
 
-    universally = _from_bool(
-        all(
-            in_attraction_cone(mat, x)
-            for mat in corner_mats
-            if not mat.is_zero()
-            for x in corners
-        )
-    )
+    universally = _from_bool(all(in_attraction_cone(mat, x) for mat in corner_mats for x in corners))
 
     if box.is_closed:
         tolerance = Verdict(YES)
         for mat in corner_mats:
-            if mat.is_zero():
-                continue
             verdict = _feasibility_verdict(feasible_in_box, attraction_system(mat), box)
             if verdict.status == NO:
                 tolerance = verdict
@@ -255,7 +246,7 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
     else:
         weak = env_hypothesis
 
-    systems = [attraction_system(mat) for mat in corner_mats if not mat.is_zero()]
+    systems = [attraction_system(mat) for mat in corner_mats]
     box_possibly = _feasibility_verdict(simultaneous_feasible, systems, box)
 
     box_tolerance = possibly if env_ok else env_hypothesis

@@ -33,6 +33,7 @@ from maxcirc import (
     satisfies,
 )
 from maxcirc.attraction import InclusionVerdict, _circulant_window_eigenvectors, _period_window_eigenvectors
+from maxcirc.core import kleene_sum
 
 import bruteforce as bf
 
@@ -232,6 +233,40 @@ def test_kleene_star_examples():
     assert kleene_star(star) == star
     with pytest.raises(ValueError):
         kleene_star(MaxMatrix.of([[2]]))
+
+
+def test_kleene_star_takes_one_kleene_sum(monkeypatch):
+    import maxcirc.attraction as attraction
+    import maxcirc.digraph as digraph
+
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return kleene_sum(a)
+
+    monkeypatch.setattr(attraction, "kleene_sum", counting)
+    monkeypatch.setattr(digraph, "kleene_sum", counting)
+    a = expand(A31)
+    assert kleene_star(a) == expand(Circulant.of([1, "1/2", 1, "1/2"]))
+    assert calls == [a]
+
+
+def test_attraction_systems_and_general_inclusion_run_no_kleene_sum(monkeypatch):
+    # The eigenvalue is a Karp class; only the critical digraph takes a Kleene sum.
+    import maxcirc.digraph as digraph
+
+    def forbidden(a):
+        raise AssertionError("a Kleene sum ran")
+
+    monkeypatch.setattr(digraph, "kleene_sum", forbidden)
+    rng = random.Random(54)
+    pool = [0, F(1, 4), F(1, 2), F(3, 4), 1]
+    for _ in range(20):
+        c = random_nonzero_circulant(rng, rng.randint(1, 6), pool)
+        assert attraction_system(c).n == c.n
+    assert attraction_system_for_matrix(EX21_A).equations
+    assert not check_attraction_inclusion(EX21_A, EX21_B, trials=20, seed=0).consistent
 
 
 def test_is_kleene_star_examples():

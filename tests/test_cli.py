@@ -229,6 +229,45 @@ def test_malformed_file_exits_2(tmp_path):
     assert run(float_entry, output=out) == 2
 
 
+def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"kind": "circulant_analysis", "circulant": ["1"], "note": "é"}'.encode("latin-1"))
+    out = tmp_path / "report.json"
+    assert run(latin, output=out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"kind": "circulant_analysis", "circulant": [' + "1" * 5000 + "]}", "[" * 100_000 + "]" * 100_000],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_json_that_python_cannot_parse_exits_2(tmp_path, capsys, text):
+    problem = tmp_path / "problem.json"
+    problem.write_text(text)
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: invalid JSON")
+
+
+@pytest.mark.parametrize("target", [".", "missing/report.json"])
+def test_unwritable_output_exits_2(tmp_path, capsys, target):
+    problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": ["1"]})
+    assert run(problem, output=tmp_path / target) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_booleans_are_not_scalars(tmp_path, capsys, flag):
+    problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": [flag]})
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 2
+    assert not out.exists()
+    assert "circulant[0]: expected an integer or 'p/q' string" in capsys.readouterr().err
+
+
 def test_inadmissible_matrix_exits_2(tmp_path, capsys):
     problem = write_problem(
         tmp_path,

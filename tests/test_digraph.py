@@ -20,6 +20,8 @@ from maxcirc import (
     threshold_digraph,
 )
 
+from maxcirc import digraph
+
 import bruteforce as bf
 
 EX21_A = MaxMatrix.of(
@@ -84,24 +86,64 @@ def test_max_cycle_mean_irrational_stays_symbolic():
     assert cs.global_cyclicity == 2
 
 
-def test_max_cycle_mean_witness_invariant_random():
+def test_max_cycle_mean_pair_matches_enumeration_random(monkeypatch):
+    # The mean is the best Karp class; only the critical digraph needs a Kleene sum.
+    def forbidden(a):
+        raise AssertionError("max_cycle_mean ran a Kleene sum")
+
+    monkeypatch.setattr(digraph, "kleene_sum", forbidden)
     rng = random.Random(3)
     pool = [0, 0, F(1, 3), F(1, 2), 1, F(5, 2)]
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        a = MaxMatrix.of([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+    fixed = [
+        MaxMatrix.of([[0, 1], [0, 0]]),  # acyclic
+        MaxMatrix.of([[0, 1], [2, 0]]),  # irrational mean sqrt(2)
+        MaxMatrix.of([[1, 1], [0, 1]]),  # not completely reducible
+    ]
+    randoms = [
+        MaxMatrix.of([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        for n in (rng.randint(1, 5) for _ in range(40))
+    ]
+    seen = set()
+    for a in fixed + randoms:
         cm = max_cycle_mean(a)
         best = bf.best_cycle_mean(a.rows)
         if cm is None:
             assert best is None
+            seen.add("acyclic")
             continue
         w, l = best
         # the returned pair and the enumerated optimum define the same mean
         assert cm.weight**l == w**cm.length
-        # the witness weight is consistent with the stored pair by construction
-        assert bf.cycle_weight(a.rows, cm.witness_cycle) == cm.weight
         if cm.value is not None:
             assert cm.value**cm.length == cm.weight
+        else:
+            seen.add("irrational")
+        if not is_completely_reducible(associated_digraph(a)):
+            seen.add("not admissible")
+    assert seen == {"acyclic", "irrational", "not admissible"}
+
+
+def test_critical_edges_are_the_edges_of_maximum_mean_simple_cycles():
+    rng = random.Random(17)
+    pool = [0, 0, F(1, 3), F(1, 2), 1, 2, F(5, 2)]
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        a = MaxMatrix.of([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        best = bf.best_cycle_mean(a.rows)
+        if best is None:
+            continue
+        w, l = best
+        # A closed walk of maximum mean splits into simple cycles of that mean.
+        expected = {
+            (u, cycle[(k + 1) % len(cycle)])
+            for cycle in bf.simple_cycles(n, bf.edges_of(a.rows))
+            if bf.cycle_weight(a.rows, cycle) ** l == w ** len(cycle)
+            for k, u in enumerate(cycle)
+        }
+        assert critical_structure(a).critical_edges == expected
+        checked += 1
+    assert checked >= 30
 
 
 def test_threshold_digraph_examples():
