@@ -29,7 +29,7 @@ from functools import cache, partial
 from math import gcd
 from typing import Literal, Sequence
 
-from .circulant import CircSpectral, Circulant, _int_product, circ_power, circ_spectral, expand
+from .circulant import CircSpectral, Circulant, _int_product, circ_lambda, circ_power, circ_spectral, expand
 from .core import (
     ONE,
     ZERO,
@@ -38,12 +38,20 @@ from .core import (
     MaxMatrix,
     MaxVector,
     _scaled,
+    exact_kth_root,
     kleene_sum,
     mat_mul,
     mat_power,
 )
 from .digraph import max_cycle_mean, pair_leq_scalar
-from .periodicity import _admissible_lambda_class, _orbit_period, orbit_period, transient_and_period
+from .periodicity import (
+    PeriodicityInfo,
+    _admissible_lambda_class,
+    _matrix_transient_and_period,
+    _orbit_period,
+    orbit_period,
+    transient_and_period,
+)
 from .twosided import (
     IterationCapExceeded,
     Scaled,
@@ -75,32 +83,40 @@ def _dedup_equations(
     return tuple(out)
 
 
-def attraction_system_for_matrix(a: MaxMatrix, t: int | None = None) -> TwoSidedSystem:
-    """System lambda * A^t (x) == A^(t+1) (x), rows deduplicated.
+def _power_pair_system(a: MaxMatrix, lam: Fraction, t: int) -> TwoSidedSystem:
+    """System lambda * A^t (x) == A^(t+1) (x), rows deduplicated."""
+    pt = mat_power(a, t)
+    pt1 = mat_mul(pt, a)
+    rows = [(tuple(lam * v for v in pt.rows[i]), pt1.rows[i]) for i in range(a.n)]
+    return TwoSidedSystem(a.n, _dedup_equations(rows))
 
-    ``t`` defaults to the transient of A.  Requires an admissible matrix with
-    a rational greatest eigenvalue (true for every circulant and for every
-    completely reducible matrix whose eigenvalue is an entry-level rational).
+
+def _matrix_spectral_data(a: MaxMatrix) -> tuple[Fraction, PeriodicityInfo]:
+    """Eigenvalue, transient and period of a nonzero general matrix, from one Karp pass.
+
+    Raises ``NotAdmissible`` outside the admissible class and ``ValueError``
+    when the eigenvalue is irrational.
     """
-    if a.is_zero():
-        return TwoSidedSystem(a.n, ())
-    if t is None:
-        t = transient_and_period(a).transient
-    cm = max_cycle_mean(a)
-    if cm is None:
-        raise ValueError("attraction system undefined: no cycles")
-    lam = cm.value
+    w, l = _admissible_lambda_class(a)
+    lam = exact_kth_root(w, l)
     if lam is None:
         raise ValueError(
             "attraction system needs a rational eigenvalue; this matrix has an irrational one"
         )
-    pt = mat_power(a, t)
-    pt1 = mat_mul(pt, a)
-    rows = [
-        (tuple(lam * v for v in pt.rows[i]), pt1.rows[i])
-        for i in range(a.n)
-    ]
-    return TwoSidedSystem(a.n, _dedup_equations(rows))
+    return lam, _matrix_transient_and_period(a, w, l)
+
+
+def attraction_system_for_matrix(a: MaxMatrix) -> TwoSidedSystem:
+    """System lambda * A^t (x) == A^(t+1) (x) at the transient t of A, rows deduplicated.
+
+    Requires an admissible matrix with a rational greatest eigenvalue:
+    ``NotAdmissible`` or ``ValueError`` is raised otherwise.  Lambda, the
+    transient and the period come from one Karp pass.
+    """
+    if a.is_zero():
+        return TwoSidedSystem(a.n, ())
+    lam, info = _matrix_spectral_data(a)
+    return _power_pair_system(a, lam, info.transient)
 
 
 def attraction_system(c: Circulant, mode: Mode = "min_transient") -> TwoSidedSystem:
@@ -108,15 +124,16 @@ def attraction_system(c: Circulant, mode: Mode = "min_transient") -> TwoSidedSys
 
     'exact_n2' uses the exponent n^2, which is always past the transient for
     a circulant; 'min_transient' uses the transient itself, giving the same
-    solution set with smaller coefficients.  The zero circulant yields the
-    empty system (the attraction cone is the whole space).
+    solution set with smaller coefficients.  The eigenvalue is the closed
+    form ``circ_lambda``, so no cycle mean is computed.  The zero circulant
+    yields the empty system (the attraction cone is the whole space).
     """
     if mode not in ("exact_n2", "min_transient"):
         raise ValueError(f"unknown mode: {mode!r}")
     if c.is_zero():
         return TwoSidedSystem(c.n, ())
     t = c.n * c.n if mode == "exact_n2" else transient_and_period(c).transient
-    return attraction_system_for_matrix(expand(c), t)
+    return _power_pair_system(expand(c), circ_lambda(c), t)
 
 
 def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
@@ -261,19 +278,15 @@ def _membership_test(m: Circulant | MaxMatrix):
     return lambda nums: _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class()) == 1
 
 
-def _period_window_eigenvectors(m: MaxMatrix) -> list[MaxVector]:
+def _period_window_eigenvectors(m: MaxMatrix, lam: Fraction, info: PeriodicityInfo) -> list[MaxVector]:
     """One eigenvector per coordinate: max over a full period window of columns.
 
-    With T the transient and p the period, the entrywise max of the columns
-    of (A/lambda)^T .. (A/lambda)^(T+p-1) is an eigenvector, hence a member
-    of the attraction cone.  Normalization is skipped (cones are scale
-    invariant), so this stays exact whenever lambda is rational.
+    With lambda rational, T the transient and p the period, the entrywise
+    max of the columns of (A/lambda)^T .. (A/lambda)^(T+p-1) is an
+    eigenvector, hence a member of the attraction cone.  Normalization is
+    skipped (cones are scale invariant).
     """
-    cm = max_cycle_mean(m)
-    if cm is None or cm.value is None:
-        return []
-    info = transient_and_period(m)
-    scaled = m.scale(ONE / cm.value)
+    scaled = m.scale(ONE / lam)
     powers = [mat_power(scaled, info.transient)]
     for _ in range(info.period - 1):
         powers.append(mat_mul(powers[-1], scaled))
@@ -349,8 +362,10 @@ def check_attraction_inclusion(
     whose solution set is that of ``attraction_system``: for two circulants
     no transient, cycle mean or matrix power is computed.  A circulant ``a``
     reads its window eigenvectors and its system off one A^(n^2) and one
-    ``circ_spectral``.  A general operand keeps
-    ``attraction_system_for_matrix`` for ``a`` and the orbit period for ``b``.
+    ``circ_spectral``.  A general ``a`` takes its eigenvalue, transient and
+    period from one Karp pass and one power-sequence detection, which serve
+    both its window and its system.  A general ``b`` is tested by its orbit
+    period.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
@@ -396,8 +411,10 @@ def check_attraction_inclusion(
         eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
         build_system_a, values = partial(_row_pair_system, power, spectral), a.row
     else:
-        eigenvectors = _period_window_eigenvectors(a)
-        build_system_a, values = partial(attraction_system_for_matrix, a), [v for row in a.rows for v in row]
+        lam, info = _matrix_spectral_data(a)
+        eigenvectors = _period_window_eigenvectors(a, lam, info)
+        build_system_a = partial(_power_pair_system, a, lam, info.transient)
+        values = [v for row in a.rows for v in row]
     for v in eigenvectors:
         bad = probe(_scaled(v.entries))
         if bad is not None:

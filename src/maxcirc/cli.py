@@ -23,13 +23,16 @@ period; a disagreement exits 4.
 Exit codes: 0 success; 2 unreadable/invalid input or unwritable output,
 including a problem file that cannot be read, is not UTF-8 or is not JSON
 that Python can parse (an integer past its digit limit, nesting past the
-recursion limit), a JSON true/false where a number belongs, an --output path
+recursion limit), a "kind" that is not one of the kind names (also any
+non-string value), a JSON true/false where a number belongs, an --output path
 that cannot be written, a matrix outside the admissible class (not
 completely reducible, or without one positive maximum cycle mean shared by
-its components), an inclusion check whose operands differ in size or whose
-``a`` has an irrational eigenvalue, or an invalid flag value (a negative
-trials count, decimals outside 0..MAX_DECIMALS); 3 analysis ran but every
-classifier answered hypothesis_not_met; 4 internal cross-check failure.
+its components), a general matrix whose normalized powers or orbit repeat
+only past the detection cap (``periodicity.HARD_DETECTION_CAP`` steps), an
+inclusion check whose operands differ in size or whose ``a`` has an
+irrational eigenvalue, or an invalid flag value (a negative trials count,
+decimals outside 0..MAX_DECIMALS); 3 analysis ran but every classifier
+answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -261,7 +264,7 @@ def run(
         if not isinstance(problem, dict):
             raise ProblemError("top level must be an object")
         kind = problem.get("kind")
-        if kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ProblemError(f"kind must be one of {sorted(_KINDS)}: got {kind!r}")
         flags = {
             "mode": mode,

@@ -25,14 +25,20 @@ from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, _scale
 from .digraph import component_cycle_means, pair_eq
 
 # Hard stop for repeat detection.  The (n-1)^2+1 transient bound is proved
-# for circulants; general admissible matrices can exceed it (the transient
-# then depends on the entries, not just n), so the horizon grows on demand
-# up to this many powers before concluding the implementation is broken.
+# for circulants, so a circulant's power sequence that reaches this cap is an
+# implementation bug.  General admissible matrices can exceed the bound (the
+# transient then depends on the entries, not just n), and one whose repeat
+# lies past the cap is rejected as an input the detector cannot answer.
 HARD_DETECTION_CAP = 20000
 
 
 class NotAdmissible(ValueError):
-    """The matrix is outside the class whose normalized powers are known to be periodic."""
+    """The normalized powers or orbit of the matrix cannot be shown periodic.
+
+    Either the matrix is outside the class whose normalized powers are known
+    to be periodic, or it is a general matrix whose repeat is not found
+    within ``HARD_DETECTION_CAP`` steps.
+    """
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,8 @@ def _detect_repeat(step, first, entries, w: Fraction, l: int) -> tuple[int, int]
     ``first`` at time 1, and ``entries`` reads a state's values.  States are
     fingerprinted after normalization, so a repeat at times (t1, t2) means
     the normalized states coincide, giving transient t1 and period t2 - t1,
-    both minimal.
+    both minimal.  Raises ``NotAdmissible`` when no repeat occurs within
+    ``HARD_DETECTION_CAP`` steps.
     """
     seen: dict[tuple, int] = {}
     state = first
@@ -95,7 +102,7 @@ def _detect_repeat(step, first, entries, w: Fraction, l: int) -> tuple[int, int]
         seen[key] = t
         state = step(state)
         t += 1
-    raise InternalError(f"no repetition within {HARD_DETECTION_CAP} steps")
+    raise NotAdmissible(f"no repetition within the detection cap of {HARD_DETECTION_CAP} steps")
 
 
 def _flat_entries(a: MaxMatrix) -> tuple[Fraction, ...]:
@@ -110,17 +117,21 @@ def transient_and_period(a: Circulant | MaxMatrix) -> PeriodicityInfo:
     W / D and the normalized t-th power is N_t / W^t, so the repeat is
     detected on N_t with the class (W, 1).  The result is cross-checked
     against the closed-form period and the (n-1)^2+1 transient bound;
-    failure of either check raises ``InternalError``.
+    failure of either check, or no repeat within ``HARD_DETECTION_CAP``
+    steps, raises ``InternalError``.  A ``MaxMatrix`` whose repeat is not
+    found within the cap raises ``NotAdmissible``.
     """
     w, l = _admissible_lambda_class(a)
     if isinstance(a, MaxMatrix):
-        transient, period = _detect_repeat(lambda p: mat_mul(p, a), a, _flat_entries, w, l)
-        return PeriodicityInfo(transient=transient, period=period)
+        return _matrix_transient_and_period(a, w, l)
     nums, _ = _scaled(a.row)
-    # W as a Fraction: the fingerprint divides by W^t exactly, not as floats.
-    transient, period = _detect_repeat(
-        lambda p: _int_product(p, nums), nums, tuple, Fraction(max(nums)), 1
-    )
+    try:
+        # W as a Fraction: the fingerprint divides by W^t exactly, not as floats.
+        transient, period = _detect_repeat(
+            lambda p: _int_product(p, nums), nums, tuple, Fraction(max(nums)), 1
+        )
+    except NotAdmissible as exc:  # the transient bound makes this a bug
+        raise InternalError(str(exc)) from exc
     expected = circ_period(a)
     if period != expected:
         raise InternalError(f"power period {period} != circulant formula period {expected}")
@@ -131,12 +142,19 @@ def transient_and_period(a: Circulant | MaxMatrix) -> PeriodicityInfo:
     return PeriodicityInfo(transient=transient, period=period)
 
 
+def _matrix_transient_and_period(a: MaxMatrix, w: Fraction, l: int) -> PeriodicityInfo:
+    """``transient_and_period`` for a matrix whose cycle-mean class (w, l) is already validated."""
+    transient, period = _detect_repeat(lambda p: mat_mul(p, a), a, _flat_entries, w, l)
+    return PeriodicityInfo(transient=transient, period=period)
+
+
 def orbit_period(a: Circulant | MaxMatrix, x: MaxVector) -> int:
     """Minimal eventual period of the normalized orbit of ``x`` under ``a``.
 
     Equals 1 exactly when the orbit of x reaches an eigenvector (or the zero
     vector), i.e. when x lies in the attraction cone of the greatest
-    eigenvalue.
+    eigenvalue.  An orbit whose repeat is not found within
+    ``HARD_DETECTION_CAP`` steps raises ``NotAdmissible``.
     """
     if a.n != x.n:
         raise DimensionMismatch(f"matrix size {a.n} vs vector size {x.n}")

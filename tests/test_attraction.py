@@ -27,10 +27,12 @@ from maxcirc import (
     is_kleene_star,
     kleene_star,
     mat_power,
+    max_cycle_mean,
     max_form,
     orbit_period,
     reduced_attraction_system,
     satisfies,
+    transient_and_period,
 )
 from maxcirc.attraction import InclusionVerdict, _circulant_window_eigenvectors, _period_window_eigenvectors
 from maxcirc.core import kleene_sum
@@ -269,6 +271,87 @@ def test_attraction_systems_and_general_inclusion_run_no_kleene_sum(monkeypatch)
     assert not check_attraction_inclusion(EX21_A, EX21_B, trials=20, seed=0).consistent
 
 
+def reference_attraction_system(c, mode):
+    """Equations of lambda * A^t (x) == A^(t+1) (x) from the generic matrix routes."""
+    a = expand(c)
+    lam = max_cycle_mean(a).value
+    t = c.n * c.n if mode == "exact_n2" else transient_and_period(a).transient
+    seen, out = set(), []
+    for row, next_row in zip(mat_power(a, t).rows, mat_power(a, t + 1).rows):
+        lhs = tuple(lam * v for v in row)
+        if lhs != next_row and frozenset((lhs, next_row)) not in seen:
+            seen.add(frozenset((lhs, next_row)))
+            out.append((lhs, next_row))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["min_transient", "exact_n2"])
+def test_circulant_attraction_system_matches_the_generic_construction(mode):
+    rng = random.Random(57)
+    pool = [0, F(1, 4), F(1, 3), F(1, 2), F(2, 3), 1, 2]
+    for _ in range(40):
+        c = random_nonzero_circulant(rng, rng.randint(1, 6), pool)
+        assert eq_tuples(attraction_system(c, mode)) == reference_attraction_system(c, mode)
+
+
+@pytest.mark.parametrize("mode", ["min_transient", "exact_n2"])
+def test_circulant_attraction_system_runs_no_karp_pass(monkeypatch, mode):
+    # The eigenvalue of a nonzero circulant is its largest row entry.
+    import maxcirc.digraph as digraph
+    import maxcirc.periodicity as periodicity
+
+    def forbidden(a):
+        raise RuntimeError("a Karp pass ran")
+
+    monkeypatch.setattr(digraph, "component_cycle_means", forbidden)
+    monkeypatch.setattr(periodicity, "component_cycle_means", forbidden)
+    rng = random.Random(58)
+    pool = [0, F(1, 4), F(1, 2), F(3, 4), 1, 2]
+    for _ in range(30):
+        c = random_nonzero_circulant(rng, rng.randint(1, 6), pool)
+        assert attraction_system(c, mode).n == c.n
+    with pytest.raises(RuntimeError, match="Karp"):
+        attraction_system_for_matrix(EX21_A)
+
+
+def record_spectral_passes(monkeypatch):
+    """Record each Karp class, power-sequence detection and system build by operand."""
+    import maxcirc.attraction as attraction
+    import maxcirc.periodicity as periodicity
+
+    calls = {"class": [], "powers": [], "system": []}
+
+    def recording(key, original):
+        def wrapper(m, *args):
+            calls[key].append(m)
+            return original(m, *args)
+
+        return wrapper
+
+    lambda_class = recording("class", periodicity._admissible_lambda_class)
+    powers = recording("powers", periodicity._matrix_transient_and_period)
+    for module in (attraction, periodicity):
+        monkeypatch.setattr(module, "_admissible_lambda_class", lambda_class)
+        monkeypatch.setattr(module, "_matrix_transient_and_period", powers)
+    monkeypatch.setattr(attraction, "_power_pair_system", recording("system", attraction._power_pair_system))
+    return calls
+
+
+def test_general_operand_takes_one_karp_pass_and_one_power_detection(monkeypatch):
+    calls = record_spectral_passes(monkeypatch)
+    assert attraction_system_for_matrix(EX21_A).equations
+    assert calls == {"class": [EX21_A], "powers": [EX21_A], "system": [EX21_A]}
+    for b in (Circulant.of([1, 1, 1, 1]), EX21_B):
+        for key in calls:
+            calls[key].clear()
+        # Both cones contain that of EX21_B (the first is the whole space), so
+        # no window eigenvector is a counterexample and its system is built.
+        assert check_attraction_inclusion(EX21_B, b, trials=20, seed=0).consistent
+        assert calls["powers"] == calls["system"] == [EX21_B]
+        # A general ``b`` adds its own class, once, for its membership test.
+        assert calls["class"] == [EX21_B] * (1 + isinstance(b, MaxMatrix))
+
+
 def test_is_kleene_star_examples():
     assert is_kleene_star(MaxMatrix.identity(4))
     assert is_kleene_star(expand(Circulant.of([1, "1/2", "1/4", "1/8"])))
@@ -489,7 +572,8 @@ def test_circulant_eigenvector_window_equals_matrix_window():
     for _ in range(40):
         c = random_nonzero_circulant(rng, rng.randint(1, 7), pool)
         window = _circulant_window_eigenvectors(c, circ_power(c, c.n * c.n), circ_spectral(c))
-        assert window == _period_window_eigenvectors(expand(c))
+        a = expand(c)
+        assert window == _period_window_eigenvectors(a, max_cycle_mean(a).value, transient_and_period(a))
 
 
 @pytest.mark.parametrize("a", [MaxMatrix.zeros(3), EX21_A])

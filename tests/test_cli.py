@@ -279,6 +279,30 @@ def test_inadmissible_matrix_exits_2(tmp_path, capsys):
     assert "not completely reducible" in capsys.readouterr().err
 
 
+def test_general_matrix_past_the_detection_cap_exits_2(tmp_path, capsys, monkeypatch):
+    import maxcirc.periodicity as periodicity
+
+    # Transient 201: past a cap of 50, the repeat is not found.
+    monkeypatch.setattr(periodicity, "HARD_DETECTION_CAP", 50)
+    problem = write_problem(
+        tmp_path,
+        {"kind": "attraction_check", "matrix": [["1", "1/30"], ["1/30", "29/30"]], "vector": ["0", "1"]},
+    )
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: no repetition within the detection cap of 50 steps\n"
+
+
+@pytest.mark.parametrize("kind", [["circulant_analysis"], {}, 7, None, "bogus"])
+def test_kind_outside_the_kind_names_exits_2(tmp_path, capsys, kind):
+    problem = write_problem(tmp_path, {"kind": kind, "circulant": ["1"]})
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: kind must be one of")
+
+
 @pytest.mark.parametrize(
     "a, b, message",
     [
@@ -376,6 +400,8 @@ FUZZ_SCALARS = st.sampled_from(["0", "1/4", "1/2", "1", "2", "3"])
 # Raised by attraction_check on a general matrix with an irrational
 # eigenvalue; the benchmark pins it as the one known escaping exception.
 IRRATIONAL = "attraction system needs a rational eigenvalue"
+# JSON values other than strings, which are rejected as kinds (exit 2).
+NON_STRING_KINDS = st.sampled_from([None, 0, ["circulant_analysis"], {}, {"kind": "circulant_analysis"}])
 
 
 @st.composite
@@ -406,8 +432,9 @@ def fuzz_problems(draw):
         st.sampled_from(
             ["circulant_analysis", "attraction_check", "inclusion_check", "robustness_classify"]
         )
+        | NON_STRING_KINDS
     )
-    if kind == "circulant_analysis":
+    if not isinstance(kind, str) or kind == "circulant_analysis":
         return {"kind": kind, "circulant": row(n)}
     if kind == "attraction_check":
         return {"kind": kind, **operand(), "vector": row(size())}
@@ -437,3 +464,5 @@ def test_every_input_ends_in_a_documented_exit_code(tmp_path_factory, problem, t
             assert IRRATIONAL in str(exc)
             return
     assert code in (0, 2, 3, 4)
+    if not isinstance(problem["kind"], str):
+        assert code == 2

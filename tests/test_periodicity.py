@@ -6,9 +6,11 @@ import pytest
 from maxcirc import (
     Circulant,
     DimensionMismatch,
+    InternalError,
     MaxMatrix,
     MaxVector,
     NotAdmissible,
+    PeriodicityInfo,
     circ_lambda,
     circ_period,
     expand,
@@ -169,3 +171,30 @@ def test_circulant_sweep_period_and_transient_bound():
             info = transient_and_period(c)
             assert info.period == circ_period(c)
             assert info.transient <= (n - 1) ** 2 + 1
+
+
+# Eigenvalue 1, critical on node 1 alone; the entries off node 1 decay by
+# 29/30 per step, so the powers repeat only from transient 201.
+SLOW = MaxMatrix.of([[1, "1/30"], ["1/30", "29/30"]])
+
+
+def test_general_matrix_past_the_detection_cap_is_not_admissible(monkeypatch):
+    import maxcirc.periodicity as periodicity
+
+    assert transient_and_period(SLOW) == PeriodicityInfo(transient=201, period=1)
+    monkeypatch.setattr(periodicity, "HARD_DETECTION_CAP", 50)
+    with pytest.raises(NotAdmissible, match="detection cap of 50 steps"):
+        transient_and_period(SLOW)
+    with pytest.raises(NotAdmissible, match="detection cap of 50 steps"):
+        orbit_period(SLOW, MaxVector.of([0, 1]))
+    # An orbit that settles within the cap still answers.
+    assert orbit_period(SLOW, MaxVector.of([1, 0])) == 1
+
+
+def test_circulant_power_sequence_past_the_detection_cap_is_an_internal_error(monkeypatch):
+    import maxcirc.periodicity as periodicity
+
+    c = Circulant.of([0, 0, 1, "1/2"])  # transient 3: the proved bound makes a cap hit a bug
+    monkeypatch.setattr(periodicity, "HARD_DETECTION_CAP", 2)
+    with pytest.raises(InternalError, match="detection cap of 2 steps"):
+        transient_and_period(c)

@@ -112,6 +112,21 @@ def test_failed_reconstruction_is_an_internal_error(monkeypatch):
         decompose_in_box(MaxVector.of([1, 1]), box)
 
 
+def test_classify_runs_no_karp_pass(monkeypatch, tmp_path):
+    # Every system classify builds is a circulant's, whose eigenvalue is its
+    # largest row entry.  Problem 13 is the first universally robust one.
+    import maxcirc.digraph as digraph
+    import maxcirc.periodicity as periodicity
+    from test_report_digests import PINNED, report_digests
+
+    def forbidden(a):
+        raise RuntimeError("a Karp pass ran")
+
+    monkeypatch.setattr(digraph, "component_cycle_means", forbidden)
+    monkeypatch.setattr(periodicity, "component_cycle_means", forbidden)
+    assert report_digests("classify", 14, tmp_path) == list(PINNED["classify"])
+
+
 def test_classify_degenerate_instance_all_yes():
     ic = IntervalCirculant.of([(0, 0), (0, 0), (1, 1), ("1/2", "1/2")])
     box = Box.point(["1/2", 1, "1/4", 1])
