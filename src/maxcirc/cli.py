@@ -30,9 +30,9 @@ completely reducible, or without one positive maximum cycle mean shared by
 its components), a general matrix whose normalized powers or orbit repeat
 only past the detection cap (``periodicity.HARD_DETECTION_CAP`` steps), an
 inclusion check whose operands differ in size or whose ``a`` has an
-irrational eigenvalue, or an invalid flag value (a negative trials count,
-decimals outside 0..MAX_DECIMALS); 3 analysis ran but every classifier
-answered hypothesis_not_met; 4 internal cross-check failure.
+irrational eigenvalue, or an invalid flag value (an unknown mode, a negative
+trials count, decimals outside 0..MAX_DECIMALS); 3 analysis ran but every
+classifier answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
 from __future__ import annotations
@@ -205,17 +205,20 @@ def _inclusion_check(problem: dict, flags: dict) -> dict:
     }
 
 
+def _parse_interval_lists(problem: dict, *fields: str) -> list[tuple[ScalarInterval, ...]]:
+    """The intervals under each field; every field's list shape is checked before any is parsed."""
+    for field in fields:
+        if not isinstance(problem.get(field), list) or not problem[field]:
+            raise ProblemError(f"{field}: expected a nonempty list of intervals")
+    return [
+        tuple(_parse_interval(item, f"{field}[{i}]") for i, item in enumerate(problem[field]))
+        for field in fields
+    ]
+
+
 def _robustness_classify(problem: dict, flags: dict) -> dict:
-    ic_items = problem.get("interval_circulant")
-    box_items = problem.get("box")
-    if not isinstance(ic_items, list) or not ic_items:
-        raise ProblemError("interval_circulant: expected a nonempty list of intervals")
-    if not isinstance(box_items, list) or not box_items:
-        raise ProblemError("box: expected a nonempty list of intervals")
-    ic = IntervalCirculant(
-        tuple(_parse_interval(item, f"interval_circulant[{i}]") for i, item in enumerate(ic_items))
-    )
-    box = Box(tuple(_parse_interval(item, f"box[{i}]") for i, item in enumerate(box_items)))
+    ic_intervals, box_intervals = _parse_interval_lists(problem, "interval_circulant", "box")
+    ic, box = IntervalCirculant(ic_intervals), Box(box_intervals)
     if ic.n != box.n:
         raise ProblemError("interval_circulant and box sizes differ")
     report = classify(ic, box)

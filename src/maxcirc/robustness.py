@@ -1,11 +1,11 @@
 """Interval circulants, corner objects, and the six robustness classifiers.
 
-An interval circulant is the set of circulants whose k-th defining entry
-ranges over a per-index interval; a box constrains the starting vector the
-same way.  Six robustness questions arise from quantifier combinations over
-"matrix in the interval" and "vector in the box", asking when the vector's
-orbit reaches an eigenvector.  Each is decided through its exact
-characterization:
+An interval circulant is the set of circulants whose defining row lies in
+a box, and its corner matrices are that box's corner vectors read as
+circulants; a second box constrains the starting vector.  Six robustness
+questions arise from quantifier combinations over "matrix in the interval"
+and "vector in the box", asking when the vector's orbit reaches an
+eigenvector.  Each is decided through its exact characterization:
 
 - possibly box-robust      (some matrix absorbs the whole box): corner
   vectors against the envelope circulant.
@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .attraction import attraction_system, in_attraction_cone
 from .circulant import Circulant
 from .core import DimensionMismatch, InternalError, MaxVector
-from .intervals import Box, ScalarInterval
+from .intervals import Box
 from .twosided import IterationCapExceeded, feasible_in_box, simultaneous_feasible
 
 YES = "yes"
@@ -45,33 +44,11 @@ HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 
 @dataclass(frozen=True)
-class IntervalCirculant:
-    """Set of circulants with each defining entry confined to an interval."""
-
-    intervals: tuple[ScalarInterval, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.intervals) < 1:
-            raise ValueError("interval circulant needs at least one entry interval")
-
-    @classmethod
-    def of(cls, items: Iterable) -> "IntervalCirculant":
-        out = []
-        for item in items:
-            if isinstance(item, ScalarInterval):
-                out.append(item)
-            else:
-                out.append(ScalarInterval.of(*item))
-        return cls(tuple(out))
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
+class IntervalCirculant(Box):
+    """Set of circulants whose defining row lies in a box of entry intervals."""
 
     def contains(self, c: Circulant) -> bool:
-        if c.n != self.n:
-            return False
-        return all(iv.contains(v) for iv, v in zip(self.intervals, c.row))
+        return super().contains(MaxVector(c.row))
 
 
 def corner_vector(box: Box, k: int) -> MaxVector:
@@ -90,12 +67,10 @@ def corner_vector(box: Box, k: int) -> MaxVector:
 
 
 def corner_matrix(ic: IntervalCirculant, k: int) -> Circulant:
-    """Lower closure bounds everywhere, upper closure bound at 0-based offset k."""
+    """Corner vector k + 1 of the defining-row box, read as a circulant (0-based offset k)."""
     if not (0 <= k <= ic.n - 1):
         raise ValueError(f"offset {k} out of range 0..{ic.n - 1}")
-    return Circulant(
-        tuple(iv.upper if t == k else iv.lower for t, iv in enumerate(ic.intervals))
-    )
+    return Circulant(corner_vector(ic, k + 1).entries)
 
 
 def envelope_circulant(ic: IntervalCirculant) -> Circulant:
@@ -112,8 +87,7 @@ def envelope_circulant(ic: IntervalCirculant) -> Circulant:
 
 def envelope_in_interval(ic: IntervalCirculant) -> bool:
     """Whether the envelope circulant is itself a member, honoring brackets."""
-    env = envelope_circulant(ic)
-    return ic.contains(env)
+    return ic.contains(envelope_circulant(ic))
 
 
 def decompose_in_box(x: MaxVector, box: Box) -> tuple[Fraction, ...]:
@@ -229,10 +203,11 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
 
     universally = _from_bool(all(in_attraction_cone(mat, x) for mat in corner_mats for x in corners))
 
+    systems = [attraction_system(mat) for mat in corner_mats]
     if box.is_closed:
         tolerance = Verdict(YES)
-        for mat in corner_mats:
-            verdict = _feasibility_verdict(feasible_in_box, attraction_system(mat), box)
+        for system in systems:
+            verdict = _feasibility_verdict(feasible_in_box, system, box)
             if verdict.status == NO:
                 tolerance = verdict
                 break
@@ -246,10 +221,7 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
     else:
         weak = env_hypothesis
 
-    systems = [attraction_system(mat) for mat in corner_mats]
     box_possibly = _feasibility_verdict(simultaneous_feasible, systems, box)
-
-    box_tolerance = possibly if env_ok else env_hypothesis
 
     return RobustnessReport(
         possibly_box_robust=possibly,
@@ -257,7 +229,8 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
         tolerance_box_robust=tolerance,
         weak_tolerance_box_robust=weak,
         box_possibly_robust=box_possibly,
-        box_tolerance_robust=box_tolerance,
+        # Equivalent to possibly under the envelope hypothesis, which possibly carries.
+        box_tolerance_robust=possibly,
     )
 
 

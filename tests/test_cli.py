@@ -211,6 +211,32 @@ def test_robustness_classify_hypotheses_unmet_exit_code(tmp_path):
     assert results["universally_box_robust"]["status"] in ("yes", "no")
 
 
+GOOD_INTERVAL = {"lower": "0", "upper": "1"}
+
+
+@pytest.mark.parametrize(
+    "intervals, box, message",
+    [
+        # Both list shapes are checked before any interval is parsed.
+        ([{"lower": "x"}], 3, "error: box: expected a nonempty list of intervals\n"),
+        ([], 3, "error: interval_circulant: expected a nonempty list of intervals\n"),
+        ([{"lower": "x"}], [{"bogus": 1}], "error: interval_circulant[0].lower: "),
+        ([GOOD_INTERVAL], [{"bogus": 1}], "error: box[0]: unknown fields ['bogus']\n"),
+        ([GOOD_INTERVAL] * 2, [GOOD_INTERVAL], "error: interval_circulant and box sizes differ\n"),
+    ],
+    ids=["bad-interval-and-box-shape", "both-shapes", "both-intervals", "box-interval", "sizes"],
+)
+def test_robustness_classify_error_precedence(tmp_path, capsys, intervals, box, message):
+    problem = write_problem(
+        tmp_path,
+        {"kind": "robustness_classify", "interval_circulant": intervals, "box": box},
+    )
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_malformed_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -21,6 +21,12 @@ zero row, a maximal diagonal with and without maximal offsets, an all-equal
 row, several components with period above 1, and three n = 20 workload rows
 (``analysis`` problems 0 and 2 at seed 2 and problem 5 at seed 3).
 
+Four inline general-matrix ``attraction_check`` problems guard the
+general-matrix orbit and system paths: [[0,1],[4,0]] (cycle-mean class
+(4, 2)) with a member of period 1 and a vector of period 2, two components
+of equal mean plus an acyclic node (period 2, one equation), and
+[[0,1],[2,0]], whose irrational eigenvalue escapes as a ``ValueError``.
+
 A change that alters reports on purpose re-pins the digests, which
 ``PYTHONPATH=src python tests/test_report_digests.py`` prints, and says so
 in CHANGES.md.
@@ -161,6 +167,22 @@ PINNED_ANALYSIS = (
 )
 
 
+# (matrix, vector) of the inline general-matrix attraction checks.
+ATTRACTION_CHECKS = (
+    ([[0, 1], [4, 0]], [1, 2]),
+    ([[0, 1], [4, 0]], [1, 1]),
+    ([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]], [1, 3, 1, 5]),
+    ([[0, 1], [2, 0]], [1, 1]),
+)
+
+PINNED_ATTRACTION = (
+    "3bb29a1a486e461fb6e8aa1e1358f5f68873e99bd729dedea6c52a210e6b72b0",
+    "4381dc1e2cffb15a1947b17dd09364a82013170a24f0bfb4ad1e875fcd429a48",
+    "74fcba3310d5f194a48393807b883aaafc3a4d593f6e53cf29b8bea973f27ea4",
+    "810d1bcd247ae21f7a652242d6332a24f3ea169e983d2cbc4c498ee0a9d48ad6",
+)
+
+
 def report_digest(i: int, problem: dict, flags: dict, workdir: Path) -> str:
     path = workdir / "problem.json"
     path.write_text(json.dumps(problem))
@@ -197,6 +219,18 @@ def analysis_digests(workdir: Path) -> list[str]:
     ]
 
 
+def attraction_digests(workdir: Path) -> list[str]:
+    return [
+        report_digest(
+            i,
+            {"kind": "attraction_check", "matrix": matrix, "vector": vector},
+            dict(workloads.DEFAULT_FLAGS),
+            workdir,
+        )
+        for i, (matrix, vector) in enumerate(ATTRACTION_CHECKS)
+    ]
+
+
 @pytest.mark.parametrize("workload", sorted(COUNTS))
 def test_reports_match_the_pinned_digests(workload, tmp_path):
     assert report_digests(workload, COUNTS[workload], tmp_path) == list(PINNED[workload])
@@ -208,6 +242,10 @@ def test_wide_inclusion_reports_match_the_pinned_digests(tmp_path):
 
 def test_circulant_analysis_reports_match_the_pinned_digests(tmp_path):
     assert analysis_digests(tmp_path) == list(PINNED_ANALYSIS)
+
+
+def test_general_matrix_attraction_reports_match_the_pinned_digests(tmp_path):
+    assert attraction_digests(tmp_path) == list(PINNED_ATTRACTION)
 
 
 if __name__ == "__main__":
@@ -227,5 +265,9 @@ if __name__ == "__main__":
         print(")")
         print("PINNED_ANALYSIS = (")
         for digest in analysis_digests(Path(tmp)):
+            print(f'    "{digest}",')
+        print(")")
+        print("PINNED_ATTRACTION = (")
+        for digest in attraction_digests(Path(tmp)):
             print(f'    "{digest}",')
         print(")")

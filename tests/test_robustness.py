@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from maxcirc import (
     in_attraction_cone,
 )
 from maxcirc import robustness
+from maxcirc.intervals import BRACKET_TOKENS
 
 IC_31 = IntervalCirculant.of([(0, 0), (0, 0), (1, 1), ("1/4", "1/2")])
 
@@ -72,18 +74,42 @@ def test_envelope_membership_honors_brackets():
     assert envelope_in_interval(IntervalCirculant.of([("1/2", "1/2"), (1, 1)]))
 
 
+def bracketed_interval(rng, grid):
+    """A grid interval with any of the four bracket kinds (closed when degenerate)."""
+    lo, hi = sorted((rng.choice(grid), rng.choice(grid)))
+    return ScalarInterval.of(lo, hi, "[]" if lo == hi else rng.choice(BRACKET_TOKENS))
+
+
+def test_interval_circulant_is_a_box_of_defining_rows():
+    rng = random.Random(17)
+    grid = [0, F(1, 4), F(1, 2), 1]
+    outcomes = set()
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        ic = IntervalCirculant(tuple(bracketed_interval(rng, grid) for _ in range(n)))
+        assert isinstance(ic, Box)
+        for k in range(n):
+            per_offset = tuple(iv.upper if t == k else iv.lower for t, iv in enumerate(ic.intervals))
+            assert corner_matrix(ic, k) == Circulant(per_offset)
+        rows = [ic.interior_point().entries, envelope_circulant(ic).row]
+        rows += [tuple(rng.choice(grid) for _ in range(n)) for _ in range(4)]
+        for row in rows:
+            entrywise = all(iv.contains(v) for iv, v in zip(ic.intervals, row))
+            assert ic.contains(Circulant(row)) == entrywise
+            outcomes.add(entrywise)
+        assert not ic.contains(Circulant(ic.interior_point().entries + (F(0),)))
+    assert outcomes == {True, False}
+    assert type(IntervalCirculant.of([(0, 1)])) is IntervalCirculant
+    with pytest.raises(ValueError):
+        IntervalCirculant(())
+
+
 def test_envelope_membership_matches_spelled_out_criterion():
     rng = random.Random(61)
     grid = [0, F(1, 4), F(1, 2), 1]
-    brackets = ["[]", "[)", "(]", "()"]
     for _ in range(60):
         n = rng.randint(1, 4)
-        ivs = []
-        for _ in range(n):
-            lo, hi = sorted((rng.choice(grid), rng.choice(grid)))
-            token = "[]" if lo == hi else rng.choice(brackets)
-            ivs.append(ScalarInterval.of(lo, hi, token))
-        ic = IntervalCirculant(tuple(ivs))
+        ic = IntervalCirculant(tuple(bracketed_interval(rng, grid) for _ in range(n)))
         base = max(iv.lower for iv in ic.intervals)
         spelled = all(
             (base < iv.upper or iv.contains(iv.upper))
@@ -125,6 +151,24 @@ def test_classify_runs_no_karp_pass(monkeypatch, tmp_path):
     monkeypatch.setattr(digraph, "component_cycle_means", forbidden)
     monkeypatch.setattr(periodicity, "component_cycle_means", forbidden)
     assert report_digests("classify", 14, tmp_path) == list(PINNED["classify"])
+
+
+@pytest.mark.parametrize("envelope_inside", [True, False])
+@pytest.mark.parametrize("closed_box", [True, False])
+def test_classify_builds_each_corner_system_once(monkeypatch, envelope_inside, closed_box):
+    # Counts the systems classify builds itself, not those in_attraction_cone builds.
+    built = []
+    build = robustness.attraction_system
+    monkeypatch.setattr(robustness, "attraction_system", lambda c: built.append(c) or build(c))
+    upper = ScalarInterval.of("1/4", "1/2", "[]" if envelope_inside else "()")
+    ic = IntervalCirculant.of([(0, 0), (0, 0), (1, 1), upper])
+    box = Box.of([(0, 1, "[]" if closed_box else "[)")] * 4)
+    assert envelope_in_interval(ic) == envelope_inside
+    classify(ic, box)
+    expected = [corner_matrix(ic, k) for k in range(4)]
+    if envelope_inside:
+        expected.append(envelope_circulant(ic))
+    assert Counter(built) == Counter(expected)
 
 
 def test_classify_degenerate_instance_all_yes():
