@@ -14,7 +14,11 @@ building it needs no transient, no cycle mean and no matrix product.
 This module builds those systems, reduces them, decides membership, and
 checks inclusion between two attraction cones; a circulant operand of an
 inclusion check enters through its reduced system, whose A^(n^2) also starts
-a first operand's eigenvector window.  Within its size limit, the finite
+a first operand's eigenvector window.  For a circulant that check stays on
+integers until a counterexample is reported: the power, the row pairs, the
+equations, the generators and the window are numerators over one
+denominator, and a system over the rationals is built only when the
+sampler needs one.  Within its size limit, the finite
 generating set of the first cone decides inclusion: the first cone lies in
 the second exactly when every generator does.  Past the limit the first
 cone is sampled for a counterexample.
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd
-from typing import Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
-from .circulant import CircSpectral, Circulant, _int_product, circ_lambda, circ_power, circ_spectral, expand
+from .circulant import CircSpectral, Circulant, _int_product, _scaled_power, circ_lambda, circ_spectral, expand
 from .core import (
     ONE,
     ZERO,
@@ -56,22 +60,22 @@ from .twosided import (
     IterationCapExceeded,
     Scaled,
     TwoSidedSystem,
+    _cone_generators,
     _greatest,
     _holds,
+    _integer_equation,
     _reduced,
     _vector,
     satisfies,
 )
 
 Mode = Literal["exact_n2", "min_transient"]
+Row = TypeVar("Row", tuple[Fraction, ...], tuple[int, ...])
 
 
-def _dedup_equations(
-    pairs: Sequence[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]],
-) -> tuple[tuple[MaxVector, MaxVector], ...]:
-    """Drop trivially-satisfied rows and repeats (up to swapping the sides)."""
-    seen: set[frozenset[tuple[Fraction, ...]]] = set()
-    out: list[tuple[MaxVector, MaxVector]] = []
+def _distinct_pairs(pairs: Iterable[tuple[Row, Row]]) -> Iterator[tuple[Row, Row]]:
+    """The pairs with unequal sides, each once up to swapping the sides."""
+    seen: set[frozenset[Row]] = set()
     for lhs, rhs in pairs:
         if lhs == rhs:
             continue
@@ -79,8 +83,14 @@ def _dedup_equations(
         if key in seen:
             continue
         seen.add(key)
-        out.append((MaxVector(lhs), MaxVector(rhs)))
-    return tuple(out)
+        yield lhs, rhs
+
+
+def _dedup_equations(
+    pairs: Iterable[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]],
+) -> tuple[tuple[MaxVector, MaxVector], ...]:
+    """Drop trivially-satisfied rows and repeats (up to swapping the sides)."""
+    return tuple((MaxVector(lhs), MaxVector(rhs)) for lhs, rhs in _distinct_pairs(pairs))
 
 
 def _power_pair_system(a: MaxMatrix, lam: Fraction, t: int) -> TwoSidedSystem:
@@ -150,16 +160,26 @@ def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
     """
     if c.is_zero():
         raise ValueError("zero circulant has no reduced attraction system")
-    return _row_pair_system(circ_power(c, c.n * c.n), circ_spectral(c))
+    (power, den), spectral = _scaled_power(c, c.n * c.n), circ_spectral(c)
+    return _row_pair_system(c.n, _row_pairs(power, spectral), den)
 
 
-def _row_pair_system(power: Circulant, spectral: CircSpectral) -> TwoSidedSystem:
-    """``reduced_attraction_system`` from A^(n^2) and the spectral data of A."""
-    n, row = power.n, power.row
+def _row_pairs(power: tuple[int, ...], spectral: CircSpectral) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Equations of ``reduced_attraction_system`` on the numerator row of A^(n^2).
+
+    The rows share one denominator, so two are equal exactly when their
+    numerators are, and the same pairs are dropped as on the entries.
+    """
+    n = len(power)
     # Row i (0-based) of the expanded power is its defining row rotated right by i.
-    rows = [row[n - i :] + row[: n - i] for i in range(n)]
-    pairs = [(rows[i - 1], rows[j - 1]) for comp in spectral.components for i, j in zip(comp, comp[1:])]
-    return TwoSidedSystem(n, _dedup_equations(pairs))
+    rows = [power[n - i :] + power[: n - i] for i in range(n)]
+    pairs = ((rows[i - 1], rows[j - 1]) for comp in spectral.components for i, j in zip(comp, comp[1:]))
+    return tuple(_distinct_pairs(pairs))
+
+
+def _row_pair_system(n: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], den: int) -> TwoSidedSystem:
+    """The row pairs as a system over the rationals, their numerators over ``den``."""
+    return TwoSidedSystem(n, tuple((_vector((lhs, den)), _vector((rhs, den))) for lhs, rhs in pairs))
 
 
 def in_attraction_cone(c: Circulant, x: MaxVector) -> bool:
@@ -272,7 +292,8 @@ def _membership_test(m: Circulant | MaxMatrix):
     if m.is_zero():
         return lambda nums: True
     if isinstance(m, Circulant):
-        eqs = reduced_attraction_system(m)._scaled_equations
+        (power, _), spectral = _scaled_power(m, m.n * m.n), circ_spectral(m)
+        eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
         return lambda nums: _holds(eqs, nums)
     lambda_class = cache(lambda: _admissible_lambda_class(m))
     return lambda nums: _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class()) == 1
@@ -300,32 +321,30 @@ def _period_window_eigenvectors(m: MaxMatrix, lam: Fraction, info: PeriodicityIn
     return out
 
 
-def _circulant_window_eigenvectors(c: Circulant, power: Circulant, spectral: CircSpectral) -> list[MaxVector]:
-    """``_period_window_eigenvectors`` of a nonzero circulant, given A^(n^2) and its spectral data.
+def _circulant_window_eigenvectors(c: Circulant, power: tuple[int, ...], spectral: CircSpectral) -> list[Scaled]:
+    """``_period_window_eigenvectors`` of a nonzero circulant, as integer columns over one denominator.
 
-    Past the transient the window's set of powers does not depend on where it
+    ``power`` is the numerator row of A^(n^2) over D^(n^2), with D the lcm of
+    the denominators of A's row, and ``spectral`` is A's spectral data.  Past
+    the transient the window's set of powers does not depend on where it
     starts, so it starts at n^2 with A^(n^2) / lambda^(n^2) = (A/lambda)^(n^2).
     Later powers are taken on defining rows, and p is the gcd-formula period.
 
-    The window runs on integer numerators.  With A's row N / D and W the
-    largest numerator, (A/lambda)^t is N_t / W^t, where N_t is the numerator
-    row of A^t over D^t.  Over the common denominator W^(n^2+p-1) the window
-    is the max over s of N_(n^2+s) * W^(p-1-s), accumulated as
-    max(window * W, N_(n^2+s)).
+    With A's row N / D and W the largest numerator, (A/lambda)^t is
+    N_t / W^t, where N_t is the numerator row of A^t over D^t.  Over the
+    common denominator W^(n^2+p-1) the window is the max over s of
+    N_(n^2+s) * W^(p-1-s), accumulated as max(window * W, N_(n^2+s)).
     """
     n = c.n
-    nums, den = _scaled(c.row)
+    nums, _ = _scaled(c.row)
     w = max(nums)
-    power_den = den ** (n * n)
-    current = tuple(v.numerator * (power_den // v.denominator) for v in power.row)  # N_(n^2)
-    window = current
+    window = current = power
     for _ in range(spectral.period - 1):
         current = _int_product(current, nums)
         window = tuple(max(x * w, v) for x, v in zip(window, current))
     scale = w ** (n * n + spectral.period - 1)
-    row = tuple(Fraction(v, scale) for v in window)
-    columns = (tuple(row[(j - i) % n] for i in range(n)) for j in range(n))
-    return [MaxVector(col) for col in columns if any(col)]
+    columns = (tuple(window[(j - i) % n] for i in range(n)) for j in range(n))
+    return [(col, scale) for col in columns if any(col)]
 
 
 def check_attraction_inclusion(
@@ -362,7 +381,9 @@ def check_attraction_inclusion(
     whose solution set is that of ``attraction_system``: for two circulants
     no transient, cycle mean or matrix power is computed.  A circulant ``a``
     reads its window eigenvectors and its system off one A^(n^2) and one
-    ``circ_spectral``.  A general ``a`` takes its eigenvalue, transient and
+    ``circ_spectral``, on integer numerators over one denominator; its
+    system over the rationals is built only past the generator limit, where
+    the sampler reads it.  A general ``a`` takes its eigenvalue, transient and
     period from one Karp pass and one power-sequence detection, which serve
     both its window and its system.  A general ``b`` is tested by its orbit
     period.
@@ -405,23 +426,28 @@ def check_attraction_inclusion(
                 return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
         return InclusionVerdict(True, None, trials_run=0, members_tested=tested)
 
-    # A's system is built only when no eigenvector is a counterexample.
     if isinstance(a, Circulant):
-        power, spectral = circ_power(a, n * n), circ_spectral(a)
+        (power, den), spectral = _scaled_power(a, n * n), circ_spectral(a)
         eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
-        build_system_a, values = partial(_row_pair_system, power, spectral), a.row
+        values = a.row
     else:
         lam, info = _matrix_spectral_data(a)
-        eigenvectors = _period_window_eigenvectors(a, lam, info)
-        build_system_a = partial(_power_pair_system, a, lam, info.transient)
+        eigenvectors = [_scaled(v.entries) for v in _period_window_eigenvectors(a, lam, info)]
         values = [v for row in a.rows for v in row]
-    for v in eigenvectors:
-        bad = probe(_scaled(v.entries))
+    for x in eigenvectors:
+        bad = probe(x)
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
-    system_a = build_system_a()
-    generators = system_a._generators
+    # A's equations are built only when no eigenvector is a counterexample.
+    if isinstance(a, Circulant):
+        pairs = _row_pairs(power, spectral)
+        generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
+        # Only the sampler reads the system over the rationals: its cap and its sweep.
+        build_system_a = partial(_row_pair_system, n, pairs, den)
+    else:
+        system_a = _power_pair_system(a, lam, info.transient)
+        generators, build_system_a = system_a._generators, lambda: system_a
     if generators is not None:
         # A max cone is the max-span of its generators, so it lies in the
         # cone of ``b`` exactly when every generator does.
@@ -435,6 +461,7 @@ def check_attraction_inclusion(
         # choose which members, so nothing is drawn.
         members = tested + 2 * trials - max(0, min(trials, 2 - tested))
         return InclusionVerdict(True, None, trials_run=trials, members_tested=members)
+    system_a = build_system_a()
     entries = sorted({v for v in values if v > 0})
     pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))
     cap = system_a.iteration_cap

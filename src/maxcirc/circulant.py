@@ -11,7 +11,8 @@ isomorphic components, and the ultimate period of matrix powers is given by
 explicit gcd formulas.  The gcd components and the three equivalent gcd
 period formulas are cross-checked against the graph-computed components and
 cyclicity on every call; a disagreement is an implementation bug and raises
-``InternalError``.
+``InternalError``.  The cross-check's threshold digraph is read off the
+defining row's maximal offsets, so no matrix is expanded for it.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .core import (
     DimensionMismatch,
     InternalError,
     MaxMatrix,
+    Scaled,
     ScalarLike,
     _scaled,
     as_scalar,
     power_by_squaring,
 )
-from .digraph import digraph_cyclicity, threshold_digraph
+from .digraph import Digraph, digraph_cyclicity
 
 
 @dataclass(frozen=True)
@@ -99,15 +101,20 @@ def circ_mul(c: Circulant, d: Circulant) -> Circulant:
     return _from_numerators(_int_product(a, b), da * db)
 
 
-def circ_power(c: Circulant, t: int) -> Circulant:
-    """t-th power on defining rows by repeated squaring (t = 0 gives identity).
+def _scaled_power(c: Circulant, t: int) -> Scaled:
+    """A^t as its numerator row over D^t, with D the lcm of the row's denominators.
 
-    The numerator row over D is squared as integers; the t-th power is its
-    result over D^t.
+    The numerator row over D is squared as integers; t = 0 gives the identity
+    row over 1.
     """
     nums, den = _scaled(c.row)
     identity = (1,) + (0,) * (c.n - 1)
-    return _from_numerators(power_by_squaring(nums, t, _int_product, identity), den**t)
+    return power_by_squaring(nums, t, _int_product, identity), den**t
+
+
+def circ_power(c: Circulant, t: int) -> Circulant:
+    """t-th power on defining rows by repeated squaring (t = 0 gives identity)."""
+    return _from_numerators(*_scaled_power(c, t))
 
 
 def circ_lambda(c: Circulant) -> Fraction:
@@ -155,7 +162,10 @@ def circ_spectral(c: Circulant) -> CircSpectral:
 
     Component node sets come from the gcd formula; the period is computed by
     all three gcd expressions.  Both must agree with the components and the
-    cyclicity of the threshold digraph at the eigenvalue.
+    cyclicity of the threshold digraph at the eigenvalue.  That digraph is
+    read off the row: entry (i, j) of the expanded matrix is a_t for
+    t = (j - i) mod n, so its edges are (i, i + t mod n) for each offset t
+    with a_t maximal.
     """
     if c.is_zero():
         raise ValueError("zero circulant has no critical structure")
@@ -177,7 +187,9 @@ def circ_spectral(c: Circulant) -> CircSpectral:
             raise InternalError(f"cyclicity formulas disagree: {formulas} for {c!r}")
         period = formulas[0]
 
-    per, graph_sigma = digraph_cyclicity(threshold_digraph(expand(c), lam))
+    offsets = ps + (0,) * a0_max
+    edges = frozenset((i + 1, (i + t) % n + 1) for t in offsets for i in range(n))
+    per, graph_sigma = digraph_cyclicity(Digraph(n, edges))
     graph_components = tuple(comp for comp, _ in per)
     if graph_components != components or graph_sigma != period:
         raise InternalError(

@@ -45,10 +45,14 @@ HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 @dataclass(frozen=True)
 class IntervalCirculant(Box):
-    """Set of circulants whose defining row lies in a box of entry intervals."""
+    """Set of circulants whose defining row lies in a box of entry intervals.
 
-    def contains(self, c: Circulant) -> bool:
-        return super().contains(MaxVector(c.row))
+    As a box it also serves wherever a vector box is expected.
+    """
+
+    def contains(self, x: Circulant | MaxVector) -> bool:
+        """Whether a circulant, by its defining row, or a point lies in the box."""
+        return super().contains(MaxVector(x.row) if isinstance(x, Circulant) else x)
 
 
 def corner_vector(box: Box, k: int) -> MaxVector:

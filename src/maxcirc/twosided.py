@@ -102,11 +102,9 @@ class TwoSidedSystem:
         out = []
         for l, r in self.equations:
             scale = lcm(*(c.denominator for c in (*l.entries, *r.entries)))
-            lhs, rhs = (
-                tuple((j, c.numerator * (scale // c.denominator)) for j, c in enumerate(side) if c)
-                for side in (l.entries, r.entries)
+            out.append(
+                _integer_equation(*(tuple(c.numerator * (scale // c.denominator) for c in side) for side in (l, r)))
             )
-            out.append((*_gathered(lhs), *_gathered(rhs), lhs + rhs))
         return tuple(out)
 
     @cached_property
@@ -139,6 +137,12 @@ def _gathered(terms: Terms) -> Gathered:
     """
     padded = terms + ((0, 0),) * (2 - len(terms))
     return itemgetter(*(j for j, _ in padded)), tuple(c for _, c in padded)
+
+
+def _integer_equation(lhs: Sequence[int], rhs: Sequence[int]) -> ScaledEquation:
+    """The equation lhs . x == rhs . x on integer coefficients, gathered for evaluation."""
+    l, r = (tuple((j, c) for j, c in enumerate(side) if c) for side in (lhs, rhs))
+    return (*_gathered(l), *_gathered(r), l + r)
 
 
 def _reduced(nums: Sequence[int], den: int) -> Scaled:
@@ -271,35 +275,39 @@ def _ray(nums: Iterable[int]) -> tuple[int, ...]:
     """A nonzero integer vector divided by the gcd of its entries."""
     nums = tuple(nums)
     g = gcd(*nums)
-    return tuple(v // g for v in nums)
+    return nums if g == 1 else tuple([v // g for v in nums])
 
 
-def _in_span(x: Sequence[int], others: Iterable[Sequence[int]]) -> bool:
-    """Whether the nonzero ray ``x`` is a max-combination of ``others``.
+def _support(x: Sequence[int]) -> int:
+    """Bit mask of the indices where ``x`` is positive."""
+    return sum(1 << i for i, v in enumerate(x) if v)
+
+
+def _in_span(k: int, pool: Sequence[Sequence[int]], supports: Sequence[int]) -> bool:
+    """Whether the nonzero ray ``pool[k]`` is a max-combination of the other rays of the pool.
 
     The largest multiple of s at or below x is min x_i / s_i over the support
-    of s, times s; it reaches x exactly at the indices attaining the minimum
-    (zero when s is positive where x is not).  x is in the span when these
-    indices cover the support of x.
+    of s, times s; it reaches x exactly at the indices attaining the minimum,
+    and it is zero when s is positive where x is not, so such an s is
+    skipped by its support alone.  x is in the span when these indices
+    cover the support of x.  ``supports`` holds each ray's ``_support``.
     """
-    uncovered = {i for i, v in enumerate(x) if v}
-    for s in others:
-        best_x = best_s = 0
-        hits: list[int] = []
+    x, support = pool[k], supports[k]
+    uncovered = support
+    for j, (s, s_support) in enumerate(zip(pool, supports)):
+        if s_support & ~support or j == k:
+            continue
+        best_x = best_s = hits = 0
         for i, v in enumerate(s):
-            if not v:
-                continue
-            xi = x[i]
-            if not xi:
-                break
-            if not hits or xi * best_s < best_x * v:
-                best_x, best_s, hits = xi, v, [i]
-            elif xi * best_s == best_x * v:
-                hits.append(i)
-        else:
-            uncovered.difference_update(hits)
-            if not uncovered:
-                return True
+            if v:
+                xi = x[i]
+                if not hits or xi * best_s < best_x * v:
+                    best_x, best_s, hits = xi, v, 1 << i
+                elif xi * best_s == best_x * v:
+                    hits |= 1 << i
+        uncovered &= ~hits
+        if not uncovered:
+            return True
     return False
 
 
@@ -311,7 +319,8 @@ def _cone_generators(n: int, eqs: Sequence[ScaledEquation]) -> tuple[tuple[int, 
     each pairs with every violating h into (a.h) g + (b.g) h, on which both
     sides equal (a.h)(b.g).  A kept generator was extreme in the larger cone,
     so it is extreme in the smaller one; a new ray is dropped when it lies in
-    the span of the rest, which leaves exactly the extreme rays.  Returns None
+    the span of the rest of the step's pool (the kept generators and the
+    other new rays), which leaves exactly the extreme rays.  Returns None
     when a step would form more than ``_GENERATOR_CANDIDATE_LIMIT`` candidates.
     """
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -330,13 +339,17 @@ def _cone_generators(n: int, eqs: Sequence[ScaledEquation]) -> tuple[tuple[int, 
                 return None
             gens = [g for g, _ in kept]
             known = set(gens)
-            combined = (
-                _ray(max(ah * u, bg * v) for u, v in zip(g, h)) for g, bg in kept for h, ah in cut
-            )
-            fresh = [r for r in dict.fromkeys(combined) if r not in known]
-            gens += [
-                r for k, r in enumerate(fresh) if not _in_span(r, gens + fresh[:k] + fresh[k + 1 :])
-            ]
+            combined = {}
+            for g, bg in kept:
+                for h, ah in cut:
+                    # The ray is unchanged when both coefficients are divided by their gcd.
+                    d = gcd(ah, bg)
+                    x, y = ah // d, bg // d
+                    combined[_ray(map(max, [x * u for u in g], [y * v for v in h]))] = None
+            fresh = [r for r in combined if r not in known]
+            pool = gens + fresh
+            supports = [_support(r) for r in pool]
+            gens += [r for k, r in enumerate(fresh, len(gens)) if not _in_span(k, pool, supports)]
     if not all(_holds(eqs, g) for g in gens):
         raise InternalError("a cone generator does not solve the system")
     return tuple(gens)

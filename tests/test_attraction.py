@@ -34,8 +34,16 @@ from maxcirc import (
     satisfies,
     transient_and_period,
 )
-from maxcirc.attraction import InclusionVerdict, _circulant_window_eigenvectors, _period_window_eigenvectors
-from maxcirc.core import kleene_sum
+from maxcirc.attraction import (
+    InclusionVerdict,
+    _circulant_window_eigenvectors,
+    _dedup_equations,
+    _period_window_eigenvectors,
+    _row_pairs,
+)
+from maxcirc.circulant import _scaled_power
+from maxcirc.core import _scaled, kleene_sum
+from maxcirc.twosided import _cone_generators, _holds, _integer_equation, _vector
 
 import bruteforce as bf
 
@@ -201,6 +209,34 @@ def test_powers_on_defining_rows_match_matrix_powers(data):
             if lhs != rhs:
                 pairs.setdefault(frozenset((lhs, rhs)), (lhs, rhs))
     assert eq_tuples(reduced_attraction_system(c)) == list(pairs.values())
+
+
+GENERATOR_ENTRIES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_row_pairs_give_the_fraction_systems_generators(data):
+    # The inclusion check reads a circulant's cone off the integer row pairs
+    # of A^(n^2).  They must give the equations that deduplicating the
+    # Fraction rows of the expanded power gives, the same generators in the
+    # same order (or None for both), and the same membership.
+    n = data.draw(st.integers(2, 9))
+    vector = st.lists(st.sampled_from(GENERATOR_ENTRIES), min_size=n, max_size=n)
+    row = data.draw(vector)
+    assume(any(row))
+    c = Circulant.of(row)
+    (power, _), spectral = _scaled_power(c, n * n), circ_spectral(c)
+    eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
+    system = reduced_attraction_system(c)
+    rows = expand(circ_power(c, n * n)).rows
+    pairs = [(rows[i - 1], rows[j - 1]) for comp in spectral.components for i, j in zip(comp, comp[1:])]
+    assert system.equations == _dedup_equations(pairs)
+    generators = _cone_generators(n, eqs)
+    assert generators == system._generators
+    for x in [*data.draw(st.lists(vector, max_size=6)), *(generators or ())]:
+        x = MaxVector.of(x)
+        assert _holds(eqs, _scaled(x.entries)[0]) == satisfies(system, x)
 
 
 @st.composite
@@ -444,15 +480,17 @@ def test_inclusion_running_example_pair():
 def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # Both cones come from their reduced systems: nothing takes the generic
     # route of transient, cycle mean and matrix power.  Each operand takes
-    # one A^(n^2) and one spectral pass; A's serve both its window
-    # eigenvectors and its system, and nothing is expanded: the rows of a
-    # power are rotations of its defining row.
+    # one A^(n^2) on integer numerators and one spectral pass; A's serve both
+    # its window eigenvectors and its system, and nothing is expanded: the
+    # rows of a power are rotations of its defining row.  Within the
+    # generator limit no system over the rationals is built, so no Fraction
+    # rows are deduplicated.
     import maxcirc.attraction as attraction
 
     powers, spectra, expanded = [], [], []
 
     def counting_power(c, t):
-        power = circ_power(c, t)
+        power = _scaled_power(c, t)
         powers.append((c, t, power))
         return power
 
@@ -467,10 +505,11 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     def generic(*args, **kwargs):
         raise AssertionError("the generic attraction-system route ran")
 
-    monkeypatch.setattr(attraction, "circ_power", counting_power)
+    monkeypatch.setattr(attraction, "_scaled_power", counting_power)
     monkeypatch.setattr(attraction, "circ_spectral", counting_spectral)
     monkeypatch.setattr(attraction, "expand", recording_expand)
-    for name in ("attraction_system", "transient_and_period", "max_cycle_mean", "mat_power", "mat_mul"):
+    routes = ("attraction_system", "transient_and_period", "max_cycle_mean", "mat_power", "mat_mul", "_dedup_equations")
+    for name in routes:
         monkeypatch.setattr(attraction, name, generic)
     for a, b, consistent in [
         ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], True),
@@ -571,7 +610,8 @@ def test_circulant_eigenvector_window_equals_matrix_window():
     pool = [0, F(1, 3), F(2, 7), F(3, 4), 1, 2]
     for _ in range(40):
         c = random_nonzero_circulant(rng, rng.randint(1, 7), pool)
-        window = _circulant_window_eigenvectors(c, circ_power(c, c.n * c.n), circ_spectral(c))
+        power, _ = _scaled_power(c, c.n * c.n)
+        window = [_vector(x) for x in _circulant_window_eigenvectors(c, power, circ_spectral(c))]
         a = expand(c)
         assert window == _period_window_eigenvectors(a, max_cycle_mean(a).value, transient_and_period(a))
 

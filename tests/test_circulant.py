@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxcirc import (
     Circulant,
     DimensionMismatch,
+    InternalError,
     NotAdmissible,
     circ_critical_components,
     circ_lambda,
@@ -153,6 +154,29 @@ def test_components_agree_with_critical_structure():
         if c.is_zero():
             continue
         assert circ_critical_components(c) == critical_structure(expand(c)).components
+
+
+def test_spectral_cross_check_reads_the_graph_off_the_row(monkeypatch):
+    # The threshold digraph comes from the row's maximal offsets, with no
+    # expanded matrix; a graph cyclicity that disagrees with the gcd
+    # formulas is still caught.
+    import maxcirc.circulant as circulant
+
+    def no_expand(c):
+        raise AssertionError("circ_spectral expanded the circulant")
+
+    monkeypatch.setattr(circulant, "expand", no_expand)
+    c = Circulant.of([0, 0, 1, "1/2", 0, 1])
+    assert circ_spectral(c).period == 3
+    cyclicity = circulant.digraph_cyclicity
+
+    def disagreeing(g):
+        per, sigma = cyclicity(g)
+        return per, sigma + 1
+
+    monkeypatch.setattr(circulant, "digraph_cyclicity", disagreeing)
+    with pytest.raises(InternalError, match="threshold digraph gives"):
+        circ_spectral(c)
 
 
 @st.composite

@@ -12,6 +12,7 @@ from maxcirc import (
     IntervalCirculant,
     MaxVector,
     ScalarInterval,
+    attraction_system,
     circ_lambda,
     classify,
     corner_matrix,
@@ -20,6 +21,7 @@ from maxcirc import (
     envelope_circulant,
     envelope_in_interval,
     expand,
+    feasible_in_box,
     implication_violations,
     in_attraction_cone,
 )
@@ -102,6 +104,19 @@ def test_interval_circulant_is_a_box_of_defining_rows():
     assert type(IntervalCirculant.of([(0, 1)])) is IntervalCirculant
     with pytest.raises(ValueError):
         IntervalCirculant(())
+
+
+@pytest.mark.parametrize(
+    "ic", [IC_31, IntervalCirculant.of([("1/4", 1)] * 4), IntervalCirculant.of([(0, "1/2", "[)"), (1, 1)])]
+)
+def test_interval_circulant_serves_as_a_vector_box(ic):
+    # Its box of defining rows is a box of vectors too, so a feasibility
+    # witness is checked against it like against the plain box.
+    box = Box(ic.intervals)
+    assert ic.contains(box.interior_point()) and ic.contains(Circulant(box.interior_point().entries))
+    assert classify(ic, ic) == classify(ic, box)
+    for c in (corner_matrix(ic, 0), envelope_circulant(ic)):
+        assert feasible_in_box(attraction_system(c), ic) == feasible_in_box(attraction_system(c), box)
 
 
 def test_envelope_membership_matches_spelled_out_criterion():
