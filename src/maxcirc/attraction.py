@@ -22,6 +22,13 @@ sampler needs one.  Within its size limit, the finite
 generating set of the first cone decides inclusion: the first cone lies in
 the second exactly when every generator does.  Past the limit the first
 cone is sampled for a counterexample.
+
+A circulant with exactly one maximal entry, at an offset coprime to n, has
+one Hamiltonian cycle as its critical digraph and the ray of (1, ..., 1) as
+its attraction cone.  As a first operand it is decided exactly at any n,
+with no power, row pairs or generator search; a circulant second operand
+answers a constant ray as a member without building anything, since
+B 1 = lambda_B 1.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from .periodicity import (
 from .twosided import (
     IterationCapExceeded,
     Scaled,
+    ScaledEquation,
     TwoSidedSystem,
     _cone_generators,
     _greatest,
@@ -177,6 +185,20 @@ def _row_pairs(power: tuple[int, ...], spectral: CircSpectral) -> tuple[tuple[tu
     return tuple(_distinct_pairs(pairs))
 
 
+def _is_single_ray(spectral: CircSpectral) -> bool:
+    """Whether the attraction cone of the circulant is the ray of (1, ..., 1).
+
+    It is when exactly one entry of the row is maximal, at an offset coprime
+    to n (n = 1 included), so the critical digraph is one Hamiltonian cycle.
+    Only the all-critical path reaches lambda^(n^2), so the row of A^(n^2)
+    is lambda^(n^2) at offset 0 and smaller elsewhere.  With one component
+    the reduced system makes every (A^(n^2) x)_i agree; an x_i below max(x)
+    would make the i-th one smaller than lambda^(n^2) max(x), which the
+    index of max(x) reaches, so every x_j equals max(x).
+    """
+    return len(spectral.critical_offsets) + spectral.diagonal_is_maximal == 1 and spectral.component_count == 1
+
+
 def _row_pair_system(n: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], den: int) -> TwoSidedSystem:
     """The row pairs as a system over the rationals, their numerators over ``den``."""
     return TwoSidedSystem(n, tuple((_vector((lhs, den)), _vector((rhs, den))) for lhs, rhs in pairs))
@@ -269,10 +291,12 @@ class InclusionVerdict:
 
     Within the size limit of the first cone's generating set the verdict is
     exact: ``consistent`` proves inclusion, and otherwise the counterexample
-    is a generator or a window eigenvector.  Past the limit ``consistent``
-    only means that no sampled member was a counterexample.  ``trials_run``
-    and ``members_tested`` are the sampler's counts, also when the trials
-    were counted without being run.
+    is a generator or a window eigenvector.  A circulant first cone that is
+    the constant ray alone has that ray as its generating set at any n, so
+    its verdict is always exact.  Past the limit ``consistent`` only means
+    that no sampled member was a counterexample.  ``trials_run`` and
+    ``members_tested`` are the sampler's counts, also when the trials were
+    counted without being run.
     """
 
     consistent: bool
@@ -285,16 +309,32 @@ def _membership_test(m: Circulant | MaxMatrix):
     """Membership of a ray, given by integer numerators, in the attraction cone of ``m``.
 
     Cones are scale invariant, so the numerators stand for the whole ray.  A
-    circulant's rays are tested against its reduced system.  A general
-    matrix's are tested by their orbit period, with its admissibility checked
-    once, at the first ray, where ``orbit_period`` would raise.
+    circulant B answers a constant ray as a member at once: B 1 = lambda_B 1,
+    so it is an eigenvector.  Its other rays are tested against its reduced
+    system, built at the first of them, or answered as non-members when its
+    cone is the constant ray alone.  A general matrix's rays are tested by
+    their orbit period, with its admissibility checked once, at the first
+    ray, where ``orbit_period`` would raise.
     """
     if m.is_zero():
         return lambda nums: True
     if isinstance(m, Circulant):
-        (power, _), spectral = _scaled_power(m, m.n * m.n), circ_spectral(m)
-        eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
-        return lambda nums: _holds(eqs, nums)
+
+        @cache
+        def equations() -> list[ScaledEquation] | None:
+            spectral = circ_spectral(m)
+            if _is_single_ray(spectral):
+                return None
+            power, _ = _scaled_power(m, m.n * m.n)
+            return [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
+
+        def member(nums: Sequence[int]) -> bool:
+            if min(nums) == max(nums):
+                return True
+            eqs = equations()
+            return eqs is not None and _holds(eqs, nums)
+
+        return member
     lambda_class = cache(lambda: _admissible_lambda_class(m))
     return lambda nums: _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class()) == 1
 
@@ -383,7 +423,13 @@ def check_attraction_inclusion(
     reads its window eigenvectors and its system off one A^(n^2) and one
     ``circ_spectral``, on integer numerators over one denominator; its
     system over the rationals is built only past the generator limit, where
-    the sampler reads it.  A general ``a`` takes its eigenvalue, transient and
+    the sampler reads it.  A circulant ``a`` with one maximal entry, at an
+    offset coprime to n, takes only ``circ_spectral``: its cone is the ray
+    of (1, ..., 1), which is its one generator and each of its n window
+    columns, so it is decided exactly at any n.  A circulant ``b`` answers
+    a constant ray as a member without building anything, and builds its
+    power and row pairs at the first other ray, or never when its own cone
+    is the constant ray.  A general ``a`` takes its eigenvalue, transient and
     period from one Karp pass and one power-sequence detection, which serve
     both its window and its system.  A general ``b`` is tested by its orbit
     period.
@@ -426,28 +472,41 @@ def check_attraction_inclusion(
                 return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
         return InclusionVerdict(True, None, trials_run=0, members_tested=tested)
 
+    # ``cone_a`` gives A's generators (None past the limit) and a builder of
+    # its system, which only the sampler reads: its cap and its sweep.  It
+    # runs only when no eigenvector is a counterexample.
     if isinstance(a, Circulant):
-        (power, den), spectral = _scaled_power(a, n * n), circ_spectral(a)
-        eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
+        spectral = circ_spectral(a)
         values = a.row
+        if _is_single_ray(spectral):
+            # The n window columns and the one generator are all (1, ..., 1).
+            ones = (1,) * n
+            eigenvectors = [(ones, 1)] * n
+            cone_a = lambda: ((ones,), None)
+        else:
+            power, den = _scaled_power(a, n * n)
+            eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
+
+            def cone_a():
+                pairs = _row_pairs(power, spectral)
+                generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
+                return generators, partial(_row_pair_system, n, pairs, den)
+
     else:
         lam, info = _matrix_spectral_data(a)
         eigenvectors = [_scaled(v.entries) for v in _period_window_eigenvectors(a, lam, info)]
         values = [v for row in a.rows for v in row]
+
+        def cone_a():
+            system_a = _power_pair_system(a, lam, info.transient)
+            return system_a._generators, lambda: system_a
+
     for x in eigenvectors:
         bad = probe(x)
         if bad is not None:
             return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
 
-    # A's equations are built only when no eigenvector is a counterexample.
-    if isinstance(a, Circulant):
-        pairs = _row_pairs(power, spectral)
-        generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
-        # Only the sampler reads the system over the rationals: its cap and its sweep.
-        build_system_a = partial(_row_pair_system, n, pairs, den)
-    else:
-        system_a = _power_pair_system(a, lam, info.transient)
-        generators, build_system_a = system_a._generators, lambda: system_a
+    generators, build_system_a = cone_a()
     if generators is not None:
         # A max cone is the max-span of its generators, so it lies in the
         # cone of ``b`` exactly when every generator does.

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from typing import Iterator
 
 from .core import (
     ONE,
@@ -72,28 +74,50 @@ def threshold_digraph(a: MaxMatrix, h: Fraction) -> Digraph:
 def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     """SCCs as sorted node tuples, listed in increasing order of smallest node.
 
-    Two nodes share a component exactly when each reaches the other; one
-    depth-first search per node finds the nodes it reaches.
+    One iterative pass of Tarjan's algorithm, linear in nodes and edges: a
+    node closes a component when no node it reaches lies lower on the
+    depth-first stack.  ``index`` numbers the nodes in visiting order from
+    1 (0 is unvisited), and ``low`` is the least number of a node on the
+    stack that each one reaches.
     """
     succ = g.successors()
-    reach: dict[int, set[int]] = {}
-    for root in succ:
-        seen = {root}
-        stack = [root]
-        while stack:
-            for w in succ[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach[root] = seen
+    index = [0] * (g.node_count + 1)
+    low = [0] * (g.node_count + 1)
+    on_stack = [False] * (g.node_count + 1)
+    stack: list[int] = []
     comps: list[tuple[int, ...]] = []
-    assigned: set[int] = set()
-    for v in succ:
-        if v not in assigned:
-            comp = tuple(sorted(w for w in reach[v] if v in reach[w]))
-            comps.append(comp)
-            assigned.update(comp)
-    return comps
+    # Depth-first frames: a node and the successors it has still to look at.
+    work: list[tuple[int, Iterator[int]]] = []
+    numbers = count(1)
+
+    def visit(v: int) -> None:
+        index[v] = low[v] = next(numbers)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
+
+    for root in succ:
+        if not index[root]:
+            visit(root)
+        while work:
+            v, rest = work[-1]
+            for w in rest:
+                if not index[w]:
+                    visit(w)
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack[comp[-1]] = False
+                    comps.append(tuple(sorted(comp)))
+    return sorted(comps)
 
 
 def _edges_within(g: Digraph, comps: list[tuple[int, ...]]) -> bool:
@@ -296,15 +320,13 @@ def _cyclic_components(
     is undefined.
     """
     comps = strongly_connected_components(g)
-    if not _edges_within(g, comps):
-        raise ValueError("cyclicity undefined: digraph is not completely reducible")
-    out = []
-    for comp in comps:
-        members = set(comp)
-        inside = sorted((u, v) for (u, v) in g.edges if u in members and v in members)
-        if inside:
-            out.append((comp, *_component_cyclicity_and_classes(comp, inside)))
-    return out
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    inside: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for u, v in sorted(g.edges):
+        if comp_of[u] != comp_of[v]:
+            raise ValueError("cyclicity undefined: digraph is not completely reducible")
+        inside[comp_of[u]].append((u, v))
+    return [(comp, *_component_cyclicity_and_classes(comp, edges)) for comp, edges in zip(comps, inside) if edges]
 
 
 def digraph_cyclicity(g: Digraph) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:

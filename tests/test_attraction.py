@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,6 +39,7 @@ from maxcirc.attraction import (
     InclusionVerdict,
     _circulant_window_eigenvectors,
     _dedup_equations,
+    _is_single_ray,
     _period_window_eigenvectors,
     _row_pairs,
 )
@@ -237,6 +239,60 @@ def test_integer_row_pairs_give_the_fraction_systems_generators(data):
     for x in [*data.draw(st.lists(vector, max_size=6)), *(generators or ())]:
         x = MaxVector.of(x)
         assert _holds(eqs, _scaled(x.entries)[0]) == satisfies(system, x)
+
+
+# Values above 1 too: the closed form must not rest on entries at most 1.
+WIDE_ENTRIES = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(7, 3)]
+
+
+@st.composite
+def single_ray_circulants(draw) -> Circulant:
+    """One maximal entry, at an offset coprime to n (the diagonal when n = 1)."""
+    n = draw(st.integers(1, 10))
+    p = draw(st.sampled_from([t for t in range(n) if gcd(t, n) == 1]))
+    top = draw(st.sampled_from(WIDE_ENTRIES[1:]))
+    row = [draw(st.sampled_from([v for v in WIDE_ENTRIES if v < top])) for _ in range(n)]
+    row[p] = top
+    return Circulant.of(row)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(single_ray_circulants())
+def test_a_single_ray_cone_is_the_constant_ray(c):
+    # The inclusion check takes such a cone as the ray of (1, ..., 1) without
+    # building it; its row-pair equations and its window must agree.
+    n = c.n
+    spectral = circ_spectral(c)
+    assert _is_single_ray(spectral)
+    power, _ = _scaled_power(c, n * n)
+    eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
+    assert _cone_generators(n, eqs) in (((1,) * n,), None)
+    window = _circulant_window_eigenvectors(c, power, spectral)
+    assert [_vector(x) for x in window] == [MaxVector.of([1] * n)] * n
+    assert _holds(eqs, (1,) * n)
+    # Lowering one coordinate leaves the ray (at n = 1 every vector is on it).
+    for k in range(n if n >= 2 else 0):
+        for low in (0, 1):
+            lowered = [2] * n
+            lowered[k] = low
+            assert not _holds(eqs, lowered)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_constant_ray_solves_every_circulants_row_pairs(data):
+    # B 1 = lambda_B 1, so the inclusion check answers a constant ray as a
+    # member of a circulant's cone without building its equations.
+    n = data.draw(st.integers(1, 10))
+    row = data.draw(st.lists(st.sampled_from(WIDE_ENTRIES), min_size=n, max_size=n))
+    assume(any(row))
+    c = Circulant.of(row)
+    spectral = circ_spectral(c)
+    power, _ = _scaled_power(c, n * n)
+    assert _holds([_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)], (1,) * n)
+    top = max(c.row)
+    offsets = [t for t, v in enumerate(c.row) if v == top]
+    assert _is_single_ray(spectral) == (len(offsets) == 1 and gcd(offsets[0], n) == 1)
 
 
 @st.composite
@@ -479,12 +535,15 @@ def test_inclusion_running_example_pair():
 
 def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # Both cones come from their reduced systems: nothing takes the generic
-    # route of transient, cycle mean and matrix power.  Each operand takes
-    # one A^(n^2) on integer numerators and one spectral pass; A's serve both
-    # its window eigenvectors and its system, and nothing is expanded: the
-    # rows of a power are rotations of its defining row.  Within the
-    # generator limit no system over the rationals is built, so no Fraction
-    # rows are deduplicated.
+    # route of transient, cycle mean and matrix power.  An operand whose
+    # cone is the constant ray alone (one maximal entry, at an offset coprime
+    # to n) takes one spectral pass and no power.  A second operand tested
+    # only on constant rays builds nothing: B 1 = lambda_B 1.  Any other
+    # operand that is read takes one A^(n^2) on integer numerators and one
+    # spectral pass; A's serve both its window eigenvectors and its system,
+    # and nothing is expanded: the rows of a power are rotations of its
+    # defining row.  Within the generator limit no system over the rationals
+    # is built, so no Fraction rows are deduplicated.
     import maxcirc.attraction as attraction
 
     powers, spectra, expanded = [], [], []
@@ -511,17 +570,29 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     routes = ("attraction_system", "transient_and_period", "max_cycle_mean", "mat_power", "mat_mul", "_dedup_equations")
     for name in routes:
         monkeypatch.setattr(attraction, name, generic)
-    for a, b, consistent in [
-        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], True),
-        ([0, "1/2", 1, 0, "1/4"], [0, 0, 1, 0, "1/4"], True),  # period 5
-        ([1, "1/2", 1, 1], ["1/2", 1, "1/4", "1/2"], False),  # found by the first trial
-    ]:
+    # (a, b, verdict, operands that take A^(n^2), operands that take a spectral pass)
+    cases = [
+        # Two components each: a's window reaches b with a non-constant ray.
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], True, "ab", "ab"),
+        # Both single-ray (period 5): b sees only the constant ray.
+        ([0, "1/2", 1, 0, "1/4"], [0, 0, 1, 0, "1/4"], True, "", "a"),
+        # A single-ray a against a b with two components.
+        (["1/2", 1, 0, "1/4"], [0, 0, 1, "1/2"], True, "", "a"),
+        # A single-ray b refutes a's first, non-constant window column.
+        ([0, 0, 1, "1/4"], [0, 1, 0, 0], False, "a", "ab"),
+        # Several maximal entries in a, refuted by a generator: b has two
+        # maximal offsets, then one.
+        ([1, "1/2", 1, 1], ["1/2", 1, "1/4", 1], False, "ab", "ab"),
+        ([1, "1/2", 1, 1], ["1/2", 1, "1/4", "1/2"], False, "a", "ab"),
+    ]
+    for a, b, consistent, powered, spectral in cases:
         a, b = Circulant.of(a), Circulant.of(b)
+        operands = {"a": a, "b": b}
         for calls in (powers, spectra, expanded):
             calls.clear()
         assert check_attraction_inclusion(a, b, trials=20, seed=2).consistent is consistent
-        assert sorted((c.row, t) for c, t, _ in powers) == sorted([(a.row, a.n**2), (b.row, b.n**2)])
-        assert sorted(c.row for c in spectra) == sorted([a.row, b.row])
+        assert sorted((c.row, t) for c, t, _ in powers) == sorted((operands[k].row, a.n**2) for k in powered)
+        assert sorted(c.row for c in spectra) == sorted(operands[k].row for k in spectral)
         assert expanded == []
 
 

@@ -68,3 +68,34 @@ def test_scc_and_cyclicity_match_networkx(a):
         want = nx_cyclicities(cs.critical_edges)
         assert dict(zip(cs.components, cs.cyclicity_per_component)) == want
         assert cs.global_cyclicity == lcm(*want.values())
+
+
+@st.composite
+def random_digraphs(draw) -> Digraph:
+    # Up to 40 nodes, sparse to dense: long paths, nested cycles and many
+    # components, which exercise the depth-first frames of Tarjan's pass.
+    n = draw(st.integers(1, 40))
+    node = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(node, node), max_size=draw(st.sampled_from((n, 2 * n, 4 * n)))))
+    return Digraph(n, frozenset(edges))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(random_digraphs())
+def test_scc_matches_networkx_on_random_digraphs(g):
+    h = nx.DiGraph()
+    h.add_nodes_from(range(1, g.node_count + 1))
+    h.add_edges_from(g.edges)
+    want = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(h))
+    # Sorted node tuples, listed by smallest node.
+    assert strongly_connected_components(g) == want
+
+
+def test_scc_of_a_long_cycle_with_a_tail():
+    # 4900 nodes on one cycle and a 100-node tail: one linear pass, with no
+    # recursion, however deep the depth-first search goes.
+    n = 5000
+    cycle = {(i, i + 1) for i in range(1, n - 100)} | {(n - 100, 1)}
+    tail = {(i, i + 1) for i in range(n - 100, n)}
+    comps = strongly_connected_components(Digraph(n, frozenset(cycle | tail)))
+    assert comps == [tuple(range(1, n - 99))] + [(v,) for v in range(n - 99, n + 1)]

@@ -8,13 +8,18 @@ change to any of these reports shows here.  ``classify`` runs through
 problem 13, its first universally robust instance; ``inclusion`` covers two
 rotations of its cost classes, and ``analysis`` one.
 
-Twelve inline ``inclusion_check`` problems at n = 7 and 8 are pinned the same
-way.  The benchmark's n = 5 never reaches the generator limit of the
+Thirteen inline ``inclusion_check`` problems at n = 7 and 8 are pinned the
+same way.  The benchmark's n = 5 never reaches the generator limit of the
 attraction systems, and eight of these do.  Of the first 60 pairs that
 ``workloads.dominated_pair`` draws from ``random.Random(11)`` (n alternating
-7 and 8, every fourth pair swapped), they are the eight whose first cone has
-no generating set within the limit for its reduced system, its full system
-or both, the two other counterexamples, and the first two remaining pairs.
+7 and 8, every fourth pair swapped), the first twelve are the eight whose
+first cone has no generating set within the limit for its reduced system,
+its full system or both, the two other counterexamples, and the first two
+remaining pairs.  The thirteenth puts a first cone that is the constant ray
+alone (one maximal entry, at an offset coprime to n) and lies past the
+limit of its row pairs against the b of ``WIDE_PAIRS[7]``: decided by the
+closed form, its report is the one that sampling gave, consistent after 200
+trials with 408 members tested.
 
 Fourteen inline ``circulant_analysis`` problems are pinned too: n = 1, the
 zero row, a maximal diagonal with and without maximal offsets, an all-equal
@@ -113,6 +118,7 @@ WIDE_PAIRS = (
     (["1/4", "1/2", "1/3", "1/4", 1, "1/3", "1/3", "2/3"], ["1/4", "1/2", "1/2", "1/4", 1, "1/2", "2/3", "2/3"]),
     (["1/3", "1/3", "1/4", 0, "1/3", "1/4", "1/4", "3/4"], ["1/3", "2/3", "1/4", 0, "1/3", "1/2", "1/4", "3/4"]),
     (["2/3", 0, "1/2", "2/3", "2/3", "1/2", 1, "3/4"], [0, 0, "1/3", "1/4", "2/3", 0, 1, "3/4"]),
+    ([0, "1/4", "1/4", "1/4", 0, 0, 0, 1], ["1/2", 0, 0, "1/4", 0, "1/3", 1, 0]),
 )
 
 PINNED_WIDE = (
@@ -128,6 +134,7 @@ PINNED_WIDE = (
     "3552c01dea79892ed94cbb58298270ca9b0e5f81b326d0fcee0aaa1a6f1c824a",
     "aecf7715dd1561501043b48aca92cc8937f6deacd45ba170d3adc5950f65969f",
     "672da99036276d7d76e8c6f79963e8ae336ce0f086bb8cb4c4170c442832e138",
+    "b6f653b44adca927829222954b58ba3955a250b5aebb4ce87f93c6f09ef00a83",
 )
 
 
