@@ -23,12 +23,18 @@ generating set of the first cone decides inclusion: the first cone lies in
 the second exactly when every generator does.  Past the limit the first
 cone is sampled for a counterexample.
 
+Two circulant cones have closed forms, read off ``circ_spectral`` alone.
 A circulant with exactly one maximal entry, at an offset coprime to n, has
 one Hamiltonian cycle as its critical digraph and the ray of (1, ..., 1) as
 its attraction cone.  As a first operand it is decided exactly at any n,
 with no power, row pairs or generator search; a circulant second operand
 answers a constant ray as a member without building anything, since
-B 1 = lambda_B 1.
+B 1 = lambda_B 1.  A nonzero circulant of period 1 has the whole space as
+its attraction cone: each critical component has one cyclic class, so its
+rows of A^(n^2) coincide and the reduced system is empty.  Two such cones
+decide their inclusion from their two spectral passes; as a first operand
+against any other cone it keeps its window, with the unit vectors as its
+generators, and as a second operand it answers every ray as a member.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from math import gcd
 from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
@@ -73,6 +78,7 @@ from .twosided import (
     _holds,
     _integer_equation,
     _reduced,
+    _unit_rays,
     _vector,
     satisfies,
 )
@@ -199,6 +205,22 @@ def _is_single_ray(spectral: CircSpectral) -> bool:
     return len(spectral.critical_offsets) + spectral.diagonal_is_maximal == 1 and spectral.component_count == 1
 
 
+def _is_whole_space(spectral: CircSpectral) -> bool:
+    """Whether the attraction cone of the circulant is the whole space.
+
+    It is when the period is 1.  The critical components are isomorphic, so
+    each has cyclicity 1: one cyclic class.  The normalized powers then
+    stand still past the transient, and n^2 lies past it: A^(t+1) =
+    lambda A^t for t >= n^2.  For nodes i, j of one component a critical
+    walk from i to j of some length l has weight lambda^l, so row i of
+    A^(n^2), which is row i of A^(n^2+l) / lambda^l, is at least row j of
+    A^(n^2); the walk back gives the other inequality.  So each component's
+    rows of A^(n^2) coincide, the reduced system has no equation, and every
+    vector solves it.
+    """
+    return spectral.period == 1
+
+
 def _row_pair_system(n: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], den: int) -> TwoSidedSystem:
     """The row pairs as a system over the rationals, their numerators over ``den``."""
     return TwoSidedSystem(n, tuple((_vector((lhs, den)), _vector((rhs, den))) for lhs, rhs in pairs))
@@ -292,8 +314,9 @@ class InclusionVerdict:
     Within the size limit of the first cone's generating set the verdict is
     exact: ``consistent`` proves inclusion, and otherwise the counterexample
     is a generator or a window eigenvector.  A circulant first cone that is
-    the constant ray alone has that ray as its generating set at any n, so
-    its verdict is always exact.  Past the limit ``consistent`` only means
+    the constant ray alone has that ray as its generating set at any n, and
+    one of period 1 has the unit vectors, so their verdicts are always
+    exact.  Past the limit ``consistent`` only means
     that no sampled member was a counterexample.  ``trials_run`` and
     ``members_tested`` are the sampler's counts, also when the trials were
     counted without being run.
@@ -305,38 +328,51 @@ class InclusionVerdict:
     members_tested: int
 
 
-def _membership_test(m: Circulant | MaxMatrix):
+def _membership_test(m: Circulant | MaxMatrix, spectral: CircSpectral | None = None):
     """Membership of a ray, given by integer numerators, in the attraction cone of ``m``.
 
     Cones are scale invariant, so the numerators stand for the whole ray.  A
     circulant B answers a constant ray as a member at once: B 1 = lambda_B 1,
-    so it is an eigenvector.  Its other rays are tested against its reduced
-    system, built at the first of them, or answered as non-members when its
-    cone is the constant ray alone.  A general matrix's rays are tested by
-    their orbit period, with its admissibility checked once, at the first
-    ray, where ``orbit_period`` would raise.
+    so it is an eigenvector.  At its first other ray it takes its spectral
+    data, unless the caller passes them as ``spectral``.  With period 1 its
+    cone is the whole space and every ray is a member, with no power taken;
+    when its cone is the constant ray alone, the other rays are non-members;
+    otherwise they are tested against its reduced system, built at the first
+    of them.  A general matrix's rays are tested by their orbit period, with
+    its admissibility checked once, at the first ray, where
+    ``orbit_period`` would raise.
     """
     if m.is_zero():
         return lambda nums: True
     if isinstance(m, Circulant):
-
-        @cache
-        def equations() -> list[ScaledEquation] | None:
-            spectral = circ_spectral(m)
-            if _is_single_ray(spectral):
-                return None
-            power, _ = _scaled_power(m, m.n * m.n)
-            return [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
+        eqs: list[ScaledEquation] | None = None
 
         def member(nums: Sequence[int]) -> bool:
+            nonlocal spectral, eqs
             if min(nums) == max(nums):
                 return True
-            eqs = equations()
-            return eqs is not None and _holds(eqs, nums)
+            if eqs is None:
+                if spectral is None:
+                    spectral = circ_spectral(m)
+                if _is_single_ray(spectral):
+                    return False
+                if _is_whole_space(spectral):
+                    eqs = []  # no row pairs: every ray solves the empty system
+                else:
+                    power, _ = _scaled_power(m, m.n * m.n)
+                    eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
+            return _holds(eqs, nums)
 
         return member
-    lambda_class = cache(lambda: _admissible_lambda_class(m))
-    return lambda nums: _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class()) == 1
+    lambda_class: tuple[Fraction, int] | None = None
+
+    def orbit_member(nums: Sequence[int]) -> bool:
+        nonlocal lambda_class
+        if lambda_class is None:
+            lambda_class = _admissible_lambda_class(m)
+        return _orbit_period(m, MaxVector(tuple(map(Fraction, nums))), *lambda_class) == 1
+
+    return orbit_member
 
 
 def _period_window_eigenvectors(m: MaxMatrix, lam: Fraction, info: PeriodicityInfo) -> list[MaxVector]:
@@ -387,6 +423,19 @@ def _circulant_window_eigenvectors(c: Circulant, power: tuple[int, ...], spectra
     return [(col, scale) for col in columns if any(col)]
 
 
+def _consistent(tested: int, trials: int) -> InclusionVerdict:
+    """The consistent verdict once ``tested`` probes and every generator of the first cone passed.
+
+    Every greatest solution is a max-combination of the generators, so it
+    lies in the max cone of ``b``; below a positive upper bound it is a
+    nonzero ray and is counted.  Each trial therefore adds one member, and
+    one max-combination once two members are known; the draws only choose
+    which members, so nothing is drawn.
+    """
+    members = tested + 2 * trials - max(0, min(trials, 2 - tested))
+    return InclusionVerdict(True, None, trials_run=trials, members_tested=members)
+
+
 def check_attraction_inclusion(
     a: Circulant | MaxMatrix,
     b: Circulant | MaxMatrix,
@@ -426,25 +475,44 @@ def check_attraction_inclusion(
     the sampler reads it.  A circulant ``a`` with one maximal entry, at an
     offset coprime to n, takes only ``circ_spectral``: its cone is the ray
     of (1, ..., 1), which is its one generator and each of its n window
-    columns, so it is decided exactly at any n.  A circulant ``b`` answers
-    a constant ray as a member without building anything, and builds its
-    power and row pairs at the first other ray, or never when its own cone
-    is the constant ray.  A general ``a`` takes its eigenvalue, transient and
-    period from one Karp pass and one power-sequence detection, which serve
-    both its window and its system.  A general ``b`` is tested by its orbit
-    period.
+    columns, so it is decided exactly at any n.  A circulant ``a`` of
+    period 1 has the whole space as its cone.  Against a zero ``b`` or a
+    circulant ``b`` of period 1, whose cone is the whole space too, the
+    verdict is consistent from the two spectral passes alone, with the
+    counts of the generator path: its n window columns tested, then every
+    trial counted.  Against any other ``b`` it keeps its window, so the
+    counterexample stays the same vector, and takes the unit vectors as its
+    generators without the double description.  A circulant ``b`` answers
+    a constant ray as a member without building anything.  At the first
+    other ray it takes its spectral pass, which is taken at most once per
+    call, also when ``a`` has asked whether the cone of ``b`` is the whole
+    space; then it answers every ray as a member when its period is 1,
+    every other ray as a non-member when its cone is the constant ray, and
+    otherwise builds its power and row pairs.  A general ``a`` takes its
+    eigenvalue, transient and period from one Karp pass and one
+    power-sequence detection, which serve both its window and its system.
+    A general ``b`` is tested by its orbit period.
     """
     if trials < 0:
         raise ValueError(f"trials must be nonnegative: got {trials}")
     if a.n != b.n:
         raise DimensionMismatch(f"matrix sizes differ: {a.n} vs {b.n}")
     n = a.n
+    spectral_a = circ_spectral(a) if isinstance(a, Circulant) and not a.is_zero() else None
+    spectral_b = None
+    if spectral_a is not None and _is_whole_space(spectral_a) and isinstance(b, Circulant):
+        spectral_b = None if b.is_zero() else circ_spectral(b)
+        if spectral_b is None or _is_whole_space(spectral_b):
+            # Both cones are the whole space.  Every probe passes: the n
+            # window columns of ``a``, rotations of its nonzero row of
+            # A^(n^2), and then its unit-vector generators.
+            return _consistent(n, trials)
     # Every probe lies in the cone of ``a`` by construction: a unit vector
     # when ``a`` is zero, a window eigenvector, a generator of its system or
     # a greatest solution of it, which ``_cone_generators`` and ``_greatest``
     # check.  For an admissible ``a`` that system's solution set is the cone,
     # so only the cone of ``b`` is tested.
-    in_b = _membership_test(b)
+    in_b = _membership_test(b, spectral_b)
 
     in_b_rays: set[tuple[int, ...]] = set()
     tested = 0
@@ -466,8 +534,8 @@ def check_attraction_inclusion(
 
     if a.is_zero():
         # Attraction cone of the zero matrix is the whole space.
-        for i in range(n):
-            bad = probe((tuple(int(i == j) for j in range(n)), 1))
+        for unit in _unit_rays(n):
+            bad = probe((unit, 1))
             if bad is not None:
                 return InclusionVerdict(False, bad, trials_run=0, members_tested=tested)
         return InclusionVerdict(True, None, trials_run=0, members_tested=tested)
@@ -476,21 +544,24 @@ def check_attraction_inclusion(
     # its system, which only the sampler reads: its cap and its sweep.  It
     # runs only when no eigenvector is a counterexample.
     if isinstance(a, Circulant):
-        spectral = circ_spectral(a)
         values = a.row
-        if _is_single_ray(spectral):
+        if _is_single_ray(spectral_a):
             # The n window columns and the one generator are all (1, ..., 1).
             ones = (1,) * n
             eigenvectors = [(ones, 1)] * n
             cone_a = lambda: ((ones,), None)
         else:
             power, den = _scaled_power(a, n * n)
-            eigenvectors = _circulant_window_eigenvectors(a, power, spectral)
+            eigenvectors = _circulant_window_eigenvectors(a, power, spectral_a)
+            if _is_whole_space(spectral_a):
+                # No row pairs, so the double description keeps the unit vectors.
+                cone_a = lambda: (_unit_rays(n), None)
+            else:
 
-            def cone_a():
-                pairs = _row_pairs(power, spectral)
-                generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
-                return generators, partial(_row_pair_system, n, pairs, den)
+                def cone_a():
+                    pairs = _row_pairs(power, spectral_a)
+                    generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
+                    return generators, lambda: _row_pair_system(n, pairs, den)
 
     else:
         lam, info = _matrix_spectral_data(a)
@@ -513,13 +584,7 @@ def check_attraction_inclusion(
         bad = next((g for g in generators if not ray_in_b(g)), None)
         if bad is not None:
             return InclusionVerdict(False, _vector((bad, 1)), trials_run=0, members_tested=tested + 1)
-        # Every greatest solution is a max-combination of the generators, so
-        # it lies in the max cone of ``b``; below a positive upper bound it is
-        # a nonzero ray and is counted.  Each trial therefore adds one member,
-        # and one max-combination once two members are known; the draws only
-        # choose which members, so nothing is drawn.
-        members = tested + 2 * trials - max(0, min(trials, 2 - tested))
-        return InclusionVerdict(True, None, trials_run=trials, members_tested=members)
+        return _consistent(tested, trials)
     system_a = build_system_a()
     entries = sorted({v for v in values if v > 0})
     pool_nums, pool_den = _scaled(sorted({x / y for x in entries for y in entries} | {ONE}))

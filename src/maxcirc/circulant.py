@@ -65,7 +65,7 @@ class Circulant:
         return len(self.row)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.row)
+        return not any(self.row)
 
     def __repr__(self) -> str:
         return "Circulant(" + ", ".join(str(v) for v in self.row) + ")"

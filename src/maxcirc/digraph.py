@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Iterator
 
 from .core import (
@@ -46,12 +45,6 @@ class Digraph:
             if not (1 <= i <= self.node_count and 1 <= j <= self.node_count):
                 raise ValueError(f"edge ({i},{j}) out of range 1..{self.node_count}")
 
-    def successors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in range(1, self.node_count + 1)}
-        for i, j in sorted(self.edges):
-            out[i].append(j)
-        return out
-
 
 def associated_digraph(a: MaxMatrix) -> Digraph:
     """Digraph with an edge (i,j) exactly where a[i,j] > 0."""
@@ -71,8 +64,16 @@ def threshold_digraph(a: MaxMatrix, h: Fraction) -> Digraph:
     return Digraph(a.n, edges)
 
 
-def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
-    """SCCs as sorted node tuples, listed in increasing order of smallest node.
+def _successor_lists(g: Digraph) -> list[list[int]]:
+    """``succ[v]`` lists the heads of the edges leaving node v; ``succ[0]`` stays empty."""
+    succ: list[list[int]] = [[] for _ in range(g.node_count + 1)]
+    for u, v in g.edges:
+        succ[u].append(v)
+    return succ
+
+
+def _tarjan(succ: list[list[int]]) -> list[tuple[int, ...]]:
+    """SCCs of the digraph with successor lists ``succ``, as ``strongly_connected_components`` lists them.
 
     One iterative pass of Tarjan's algorithm, linear in nodes and edges: a
     node closes a component when no node it reaches lies lower on the
@@ -80,30 +81,31 @@ def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
     1 (0 is unvisited), and ``low`` is the least number of a node on the
     stack that each one reaches.
     """
-    succ = g.successors()
-    index = [0] * (g.node_count + 1)
-    low = [0] * (g.node_count + 1)
-    on_stack = [False] * (g.node_count + 1)
+    size = len(succ)
+    index = [0] * size
+    low = [0] * size
+    on_stack = [False] * size
     stack: list[int] = []
     comps: list[tuple[int, ...]] = []
-    # Depth-first frames: a node and the successors it has still to look at.
-    work: list[tuple[int, Iterator[int]]] = []
-    numbers = count(1)
-
-    def visit(v: int) -> None:
-        index[v] = low[v] = next(numbers)
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(succ[v])))
-
-    for root in succ:
-        if not index[root]:
-            visit(root)
+    visited = 0
+    for root in range(1, size):
+        if index[root]:
+            continue
+        # Depth-first frames: a node and the successors it has still to look at.
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
+        visited += 1
+        index[root] = low[root] = visited
+        stack.append(root)
+        on_stack[root] = True
         while work:
             v, rest = work[-1]
             for w in rest:
                 if not index[w]:
-                    visit(w)
+                    visited += 1
+                    index[w] = low[w] = visited
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
@@ -118,6 +120,15 @@ def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
                         on_stack[comp[-1]] = False
                     comps.append(tuple(sorted(comp)))
     return sorted(comps)
+
+
+def strongly_connected_components(g: Digraph) -> list[tuple[int, ...]]:
+    """SCCs as sorted node tuples, listed in increasing order of smallest node.
+
+    One iterative pass of Tarjan's algorithm over successor lists, linear in
+    nodes and edges.
+    """
+    return _tarjan(_successor_lists(g))
 
 
 def _edges_within(g: Digraph, comps: list[tuple[int, ...]]) -> bool:
@@ -267,66 +278,65 @@ class CriticalStructure:
     global_cyclicity: int
 
 
-def _component_cyclicity_and_classes(
-    nodes: tuple[int, ...], edges: list[tuple[int, int]]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Cyclicity (gcd of cycle lengths) and cyclic classes of one SCC.
+def _cyclic_components(g: Digraph) -> list[tuple[tuple[int, ...], int, list[int]]]:
+    """(component, cyclicity, levels) for each SCC of ``g`` with an edge.
 
-    Uses the standard potential argument: traverse a spanning tree of the
-    underlying undirected graph assigning levels (+1 along an edge, -1
-    against it); the gcd of level[u]+1-level[v] over all edges equals the
-    gcd of all cycle lengths, and classes are level residues mod that gcd.
-    """
-    node_set = set(nodes)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
-    for u, v in edges:
-        adj[u].append((v, +1))
-        adj[v].append((u, -1))
-    root = nodes[0]
-    level: dict[int, int] = {root: 0}
-    queue = [root]
-    while queue:
-        u = queue.pop()
-        for v, step in adj[u]:
-            if v not in level:
-                level[v] = level[u] + step
-                queue.append(v)
-    if set(level) != node_set:
-        raise InternalError("critical component not connected")
-    g = 0
-    for u, v in edges:
-        g = math.gcd(g, level[u] + 1 - level[v])
-    if g == 0:
-        raise InternalError("strongly connected component with edges has cyclicity 0")
-    sigma = abs(g)
-    for u, v in edges:
-        if (level[u] + 1 - level[v]) % sigma != 0:
-            raise InternalError("inconsistent cyclic-class potentials")
-    by_residue: dict[int, list[int]] = {}
-    for v in nodes:
-        by_residue.setdefault(level[v] % sigma, []).append(v)
-    classes = tuple(
-        tuple(sorted(cl)) for cl in sorted(by_residue.values(), key=lambda c: min(c))
-    )
-    return sigma, classes
-
-
-def _cyclic_components(
-    g: Digraph,
-) -> list[tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]]:
-    """(component, cyclicity, cyclic classes) for each SCC of ``g`` with an edge.
+    One pass over successor lists: Tarjan's pass gives the SCCs, then a
+    breadth-first search from each component's smallest node levels its
+    nodes by distance.  Along any cycle the values level[u] + 1 - level[v]
+    of its edges (u, v) sum to its length.  Conversely each value is the
+    difference of the lengths of two closed walks, root -> u -> v -> root
+    and root -> v -> root, so the gcd of the values over the component's
+    edges is the gcd of its cycle lengths: the cyclicity.  The cyclic
+    classes are the level residues modulo it.  ``levels`` is indexed
+    by node and is shared by the components.
 
     Rejects a digraph that is not completely reducible, for which cyclicity
     is undefined.
     """
-    comps = strongly_connected_components(g)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    inside: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for u, v in sorted(g.edges):
-        if comp_of[u] != comp_of[v]:
-            raise ValueError("cyclicity undefined: digraph is not completely reducible")
-        inside[comp_of[u]].append((u, v))
-    return [(comp, *_component_cyclicity_and_classes(comp, edges)) for comp, edges in zip(comps, inside) if edges]
+    succ = _successor_lists(g)
+    comps = _tarjan(succ)
+    comp_of = [0] * len(succ)
+    for k, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = k
+    level = [-1] * len(succ)
+    out = []
+    for k, comp in enumerate(comps):
+        level[comp[0]] = 0
+        queue = [comp[0]]
+        sigma = 0
+        for u in queue:
+            for v in succ[u]:
+                if comp_of[v] != k:
+                    raise ValueError("cyclicity undefined: digraph is not completely reducible")
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+                else:
+                    sigma = math.gcd(sigma, level[u] + 1 - level[v])
+        if len(queue) != len(comp):
+            raise InternalError("critical component not connected")
+        if not sigma:
+            if any(succ[u] for u in comp):
+                raise InternalError("strongly connected component with edges has cyclicity 0")
+            continue
+        if any((level[u] + 1 - level[v]) % sigma for u in comp for v in succ[u]):
+            raise InternalError("inconsistent cyclic-class potentials")
+        out.append((comp, sigma, level))
+    return out
+
+
+def _cyclic_classes(comp: tuple[int, ...], sigma: int, level: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The cyclic classes of one component: its nodes grouped by level modulo ``sigma``.
+
+    ``comp`` is sorted, so each class is sorted and the classes come in
+    increasing order of smallest node.
+    """
+    by_residue: dict[int, list[int]] = {}
+    for v in comp:
+        by_residue.setdefault(level[v] % sigma, []).append(v)
+    return tuple(map(tuple, by_residue.values()))
 
 
 def digraph_cyclicity(g: Digraph) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int]:
@@ -376,7 +386,7 @@ def critical_structure(a: MaxMatrix) -> CriticalStructure:
         critical_nodes=frozenset(v for e in crit_edges for v in e),
         critical_edges=crit_edges,
         components=tuple(comp for comp, _, _ in cyclic),
-        cyclic_classes=tuple(classes for _, _, classes in cyclic),
+        cyclic_classes=tuple(_cyclic_classes(*cc) for cc in cyclic),
         cyclicity_per_component=per_sigma,
         global_cyclicity=math.lcm(*per_sigma),
     )

@@ -311,6 +311,11 @@ def _in_span(k: int, pool: Sequence[Sequence[int]], supports: Sequence[int]) -> 
     return False
 
 
+def _unit_rays(n: int) -> list[tuple[int, ...]]:
+    """The unit vectors of size n, in order: the extreme rays of the whole space."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
 def _cone_generators(n: int, eqs: Sequence[ScaledEquation]) -> tuple[tuple[int, ...], ...] | None:
     """Extreme rays of the solution cone by tropical double description.
 
@@ -323,7 +328,7 @@ def _cone_generators(n: int, eqs: Sequence[ScaledEquation]) -> tuple[tuple[int, 
     other new rays), which leaves exactly the extreme rays.  Returns None
     when a step would form more than ``_GENERATOR_CANDIDATE_LIMIT`` candidates.
     """
-    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    gens = _unit_rays(n)
     for lget, lc, rget, rc, _ in eqs:
         for aget, ac, bget, bc in ((lget, lc, rget, rc), (rget, rc, lget, lc)):
             kept, cut = [], []

@@ -40,6 +40,7 @@ from maxcirc.attraction import (
     _circulant_window_eigenvectors,
     _dedup_equations,
     _is_single_ray,
+    _is_whole_space,
     _period_window_eigenvectors,
     _row_pairs,
 )
@@ -296,6 +297,41 @@ def test_a_constant_ray_solves_every_circulants_row_pairs(data):
 
 
 @st.composite
+def period_one_circulants(draw) -> Circulant:
+    """Nonzero circulants of period 1, with the diagonal maximal or not."""
+    n = draw(st.integers(1, 10))
+    top = draw(st.sampled_from(WIDE_ENTRIES[1:]))
+    offsets = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    c = Circulant.of([top if t in offsets else draw(st.sampled_from([v for v in WIDE_ENTRIES if v < top])) for t in range(n)])
+    assume(circ_spectral(c).period == 1)
+    return c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(period_one_circulants())
+def test_a_period_one_cone_is_the_whole_space(c):
+    # The inclusion check takes such a cone as the whole space, generated by
+    # the unit vectors, without building it; its row pairs, its full system
+    # and the orbit oracle must agree.
+    n = c.n
+    spectral = circ_spectral(c)
+    assert _is_whole_space(spectral)
+    power, _ = _scaled_power(c, n * n)
+    assert _row_pairs(power, spectral) == ()
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert _cone_generators(n, attraction_system(c)._scaled_equations) == units
+    rows = bf.expand_row(c.row)
+    # Three values per coordinate up to n = 4, two beyond.  A cyclic shift
+    # commutes with a circulant, so one vector per rotation class covers
+    # the whole grid.
+    values = (0, F(1, 2), 2) if n <= 4 else (0, 1)
+    for x in bf.grid_vectors(values, n):
+        if x == min(x[k:] + x[:k] for k in range(n)):
+            assert bf.orbit_member(rows, x)
+            assert orbit_period(c, MaxVector.of(x)) == 1
+
+
+@st.composite
 def admissible_matrices(draw, n=None):
     """Nonzero matrices with n <= 4 (or of size ``n``) whose attraction system is defined."""
     n = draw(st.integers(1, 4)) if n is None else n
@@ -538,7 +574,9 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # route of transient, cycle mean and matrix power.  An operand whose
     # cone is the constant ray alone (one maximal entry, at an offset coprime
     # to n) takes one spectral pass and no power.  A second operand tested
-    # only on constant rays builds nothing: B 1 = lambda_B 1.  Any other
+    # only on constant rays builds nothing: B 1 = lambda_B 1.  An operand of
+    # period 1 attracts every vector: as the second it takes one spectral
+    # pass and no power, and two of them take nothing else at all.  Any other
     # operand that is read takes one A^(n^2) on integer numerators and one
     # spectral pass; A's serve both its window eigenvectors and its system,
     # and nothing is expanded: the rows of a power are rotations of its
@@ -584,6 +622,18 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
         # maximal offsets, then one.
         ([1, "1/2", 1, 1], ["1/2", 1, "1/4", 1], False, "ab", "ab"),
         ([1, "1/2", 1, 1], ["1/2", 1, "1/4", "1/2"], False, "a", "ab"),
+        # Both of period 1 (a maximal diagonal): each takes its spectral pass
+        # only, and no row pairs or generators are formed.
+        ([1, "1/2", 0, "1/4"], [1, "1/2", "1/2", "1/4"], True, "", "ab"),
+        ([1, "1/2", 0, "1/4", 0, "1/3", 0, 0], [1, 0, "1/2", 0, 1, 0, 0, "1/4"], True, "", "ab"),
+        # A period-1 a against a single-ray b: a keeps its window, refuted at
+        # its first column, and b's one spectral pass answers both whether
+        # its cone is the whole space and its rays.
+        ([1, "1/2", 0, 0, 0], [0, 0, 1, 0, 0], False, "a", "ab"),
+        # The window is constant, so the first unit-vector generator refutes.
+        ([1, 0, 1, 0, 0], [0, 0, 1, 0, 0], False, "a", "ab"),
+        # Two components in a against a period-1 b: b takes no power.
+        ([0, 0, 1, "1/4"], [1, 0, 1, "1/2"], True, "a", "ab"),
     ]
     for a, b, consistent, powered, spectral in cases:
         a, b = Circulant.of(a), Circulant.of(b)

@@ -294,6 +294,29 @@ def test_json_booleans_are_not_scalars(tmp_path, capsys, flag):
     assert "circulant[0]: expected an integer or 'p/q' string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([1, 0, 0, "-1/4"], "a.circulant[3]: negative value not allowed in the max-times semiring: '-1/4'"),
+        ([1, 0, 0, "1/0"], "a.circulant[3]: Fraction(1, 0)"),
+        ([1, 0, 0, "x"], "a.circulant[3]: Invalid literal for Fraction: 'x'"),
+        ([1, 0, 0, 0.5], "a.circulant[3]: expected an integer or 'p/q' string, got 0.5"),
+        ([1, 0, 0, None], "a.circulant[3]: expected an integer or 'p/q' string, got None"),
+        # The first bad entry is named, whatever the later ones are.
+        ([1, 0, "-1", True], "a.circulant[2]: negative value not allowed in the max-times semiring: '-1'"),
+        ([1, False, "-1", 0], "a.circulant[1]: expected an integer or 'p/q' string, got False"),
+        ("1, 0", "a.circulant: expected a nonempty list"),
+        ([], "a.circulant: expected a nonempty list"),
+    ],
+)
+def test_bad_circulant_entries_are_named_by_index(tmp_path, capsys, entries, message):
+    problem = write_problem(
+        tmp_path, {"kind": "inclusion_check", "a": {"circulant": entries}, "b": {"circulant": [1, 0, 0, 0]}}
+    )
+    assert run(problem) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_inadmissible_matrix_exits_2(tmp_path, capsys):
     problem = write_problem(
         tmp_path,

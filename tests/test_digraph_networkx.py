@@ -1,4 +1,4 @@
-"""SCCs and cyclicities checked against networkx on small random digraphs."""
+"""SCCs, cyclicities and cyclic classes checked against networkx on small random digraphs."""
 
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -89,6 +89,64 @@ def test_scc_matches_networkx_on_random_digraphs(g):
     want = sorted(tuple(sorted(c)) for c in nx.strongly_connected_components(h))
     # Sorted node tuples, listed by smallest node.
     assert strongly_connected_components(g) == want
+
+
+def nx_cyclic_classes(h, comp, sigma) -> tuple[tuple[int, ...], ...]:
+    """Cyclic classes of ``comp``, listed by smallest node, from walk lengths.
+
+    v lies in class r when a walk from the smallest node reaches it with a
+    length of r mod sigma.  Reachability runs on the product with Z/sigma,
+    so each node must turn up with exactly one residue.
+    """
+    product = nx.DiGraph(((u, r), (v, (r + 1) % sigma)) for u, v in h.subgraph(comp).edges for r in range(sigma))
+    root = (comp[0], 0)
+    reached = nx.descendants(product, root) | {root}
+    residues = dict(reached)
+    assert len(residues) == len(reached) == len(comp)
+    classes = {}
+    for v in comp:
+        classes.setdefault(residues[v], []).append(v)
+    return tuple(sorted(map(tuple, classes.values())))
+
+
+@st.composite
+def completely_reducible_digraphs(draw) -> Digraph:
+    # The edges of a random digraph that lie inside its SCCs, at most 8
+    # nodes, so that networkx can list every simple cycle.  About half of
+    # them keep only edges from layer r to layer r + 1 mod some count of
+    # layers, so that cyclicities above 1 are common.
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)]
+    if draw(st.booleans()):
+        layers = draw(st.integers(2, 4))
+        layer = draw(st.lists(st.integers(0, layers - 1), min_size=n + 1, max_size=n + 1))
+        pairs = [(u, v) for u, v in pairs if layer[v] == (layer[u] + 1) % layers]
+    size = draw(st.sampled_from((n, 2 * n, 4 * n)))
+    edges = frozenset(draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=size))) if pairs else frozenset()
+    comp_of = {v: k for k, comp in enumerate(strongly_connected_components(Digraph(n, edges))) for v in comp}
+    return Digraph(n, frozenset((u, v) for u, v in edges if comp_of[u] == comp_of[v]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(completely_reducible_digraphs())
+def test_cyclicity_and_cyclic_classes_match_networkx(g):
+    h = nx.DiGraph(list(g.edges))
+    want = nx_cyclicities(g.edges)
+    if not want:
+        with pytest.raises(ValueError, match="no cycles"):
+            digraph_cyclicity(g)
+        return
+    per, overall = digraph_cyclicity(g)
+    assert dict(per) == want
+    assert overall == lcm(*want.values())
+    # With weight 1 on every edge each cycle is critical, so the critical
+    # digraph is g itself.
+    n = g.node_count
+    cs = critical_structure(MaxMatrix.of([[int((i, j) in g.edges) for j in range(1, n + 1)] for i in range(1, n + 1)]))
+    assert cs.critical_edges == g.edges
+    assert dict(zip(cs.components, cs.cyclicity_per_component)) == want
+    for comp, classes in zip(cs.components, cs.cyclic_classes):
+        assert classes == nx_cyclic_classes(h, comp, want[comp])
 
 
 def test_scc_of_a_long_cycle_with_a_tail():

@@ -8,7 +8,7 @@ change to any of these reports shows here.  ``classify`` runs through
 problem 13, its first universally robust instance; ``inclusion`` covers two
 rotations of its cost classes, and ``analysis`` one.
 
-Thirteen inline ``inclusion_check`` problems at n = 7 and 8 are pinned the
+Fourteen inline ``inclusion_check`` problems at n = 7 and 8 are pinned the
 same way.  The benchmark's n = 5 never reaches the generator limit of the
 attraction systems, and eight of these do.  Of the first 60 pairs that
 ``workloads.dominated_pair`` draws from ``random.Random(11)`` (n alternating
@@ -19,7 +19,10 @@ remaining pairs.  The thirteenth puts a first cone that is the constant ray
 alone (one maximal entry, at an offset coprime to n) and lies past the
 limit of its row pairs against the b of ``WIDE_PAIRS[7]``: decided by the
 closed form, its report is the one that sampling gave, consistent after 200
-trials with 408 members tested.
+trials with 408 members tested.  The fourteenth puts two cones of period 1
+(each row's diagonal is maximal), so each is the whole space, against each
+other: consistent after 200 trials with 408 members tested, which the
+inclusion check answers from the two spectral passes alone.
 
 Fourteen inline ``circulant_analysis`` problems are pinned too: n = 1, the
 zero row, a maximal diagonal with and without maximal offsets, an all-equal
@@ -119,6 +122,7 @@ WIDE_PAIRS = (
     (["1/3", "1/3", "1/4", 0, "1/3", "1/4", "1/4", "3/4"], ["1/3", "2/3", "1/4", 0, "1/3", "1/2", "1/4", "3/4"]),
     (["2/3", 0, "1/2", "2/3", "2/3", "1/2", 1, "3/4"], [0, 0, "1/3", "1/4", "2/3", 0, 1, "3/4"]),
     ([0, "1/4", "1/4", "1/4", 0, 0, 0, 1], ["1/2", 0, 0, "1/4", 0, "1/3", 1, 0]),
+    ([1, "1/2", 0, "1/4", 0, "1/3", 0, 0], [1, 0, "1/2", 0, 1, 0, 0, "1/4"]),
 )
 
 PINNED_WIDE = (
@@ -135,6 +139,7 @@ PINNED_WIDE = (
     "aecf7715dd1561501043b48aca92cc8937f6deacd45ba170d3adc5950f65969f",
     "672da99036276d7d76e8c6f79963e8ae336ce0f086bb8cb4c4170c442832e138",
     "b6f653b44adca927829222954b58ba3955a250b5aebb4ce87f93c6f09ef00a83",
+    "aa7113299247c43671202531fb058c743d7fe727b7897e7e94fdeabbd96b8720",
 )
 
 
