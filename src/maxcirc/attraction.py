@@ -32,9 +32,9 @@ answers a constant ray as a member without building anything, since
 B 1 = lambda_B 1.  A nonzero circulant of period 1 has the whole space as
 its attraction cone: each critical component has one cyclic class, so its
 rows of A^(n^2) coincide and the reduced system is empty.  Two such cones
-decide their inclusion from their two spectral passes; as a first operand
-against any other cone it keeps its window, with the unit vectors as its
-generators, and as a second operand it answers every ray as a member.
+decide their inclusion from their two spectral passes.  Against any other
+cone it takes the general route, where it has no row pairs and the double
+description keeps the unit vectors as its generators.
 """
 
 from __future__ import annotations
@@ -334,13 +334,12 @@ def _membership_test(m: Circulant | MaxMatrix, spectral: CircSpectral | None = N
     Cones are scale invariant, so the numerators stand for the whole ray.  A
     circulant B answers a constant ray as a member at once: B 1 = lambda_B 1,
     so it is an eigenvector.  At its first other ray it takes its spectral
-    data, unless the caller passes them as ``spectral``.  With period 1 its
-    cone is the whole space and every ray is a member, with no power taken;
-    when its cone is the constant ray alone, the other rays are non-members;
-    otherwise they are tested against its reduced system, built at the first
-    of them.  A general matrix's rays are tested by their orbit period, with
-    its admissibility checked once, at the first ray, where
-    ``orbit_period`` would raise.
+    data, unless the caller passes them as ``spectral``.  When its cone is
+    the constant ray alone, the other rays are non-members; otherwise they
+    are tested against its reduced system, built at the first of them.  A
+    general matrix's rays are tested by their orbit period, with its
+    admissibility checked once, at the first ray, where ``orbit_period``
+    would raise.
     """
     if m.is_zero():
         return lambda nums: True
@@ -356,11 +355,8 @@ def _membership_test(m: Circulant | MaxMatrix, spectral: CircSpectral | None = N
                     spectral = circ_spectral(m)
                 if _is_single_ray(spectral):
                     return False
-                if _is_whole_space(spectral):
-                    eqs = []  # no row pairs: every ray solves the empty system
-                else:
-                    power, _ = _scaled_power(m, m.n * m.n)
-                    eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
+                power, _ = _scaled_power(m, m.n * m.n)
+                eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(power, spectral)]
             return _holds(eqs, nums)
 
         return member
@@ -480,13 +476,12 @@ def check_attraction_inclusion(
     circulant ``b`` of period 1, whose cone is the whole space too, the
     verdict is consistent from the two spectral passes alone, with the
     counts of the generator path: its n window columns tested, then every
-    trial counted.  Against any other ``b`` it keeps its window, so the
-    counterexample stays the same vector, and takes the unit vectors as its
-    generators without the double description.  A circulant ``b`` answers
-    a constant ray as a member without building anything.  At the first
-    other ray it takes its spectral pass, which is taken at most once per
-    call, also when ``a`` has asked whether the cone of ``b`` is the whole
-    space; then it answers every ray as a member when its period is 1,
+    trial counted.  Against any other ``b`` it takes the route of any
+    other circulant ``a``: it has no row pairs, so its generators are the
+    unit vectors.  A circulant ``b`` answers a constant ray as a member
+    without building anything.  At the first other ray it takes its
+    spectral pass, which is taken at most once per call, also when ``a``
+    has asked whether the cone of ``b`` is the whole space; then it answers
     every other ray as a non-member when its cone is the constant ray, and
     otherwise builds its power and row pairs.  A general ``a`` takes its
     eigenvalue, transient and period from one Karp pass and one
@@ -553,15 +548,11 @@ def check_attraction_inclusion(
         else:
             power, den = _scaled_power(a, n * n)
             eigenvectors = _circulant_window_eigenvectors(a, power, spectral_a)
-            if _is_whole_space(spectral_a):
-                # No row pairs, so the double description keeps the unit vectors.
-                cone_a = lambda: (_unit_rays(n), None)
-            else:
 
-                def cone_a():
-                    pairs = _row_pairs(power, spectral_a)
-                    generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
-                    return generators, lambda: _row_pair_system(n, pairs, den)
+            def cone_a():
+                pairs = _row_pairs(power, spectral_a)
+                generators = _cone_generators(n, [_integer_equation(lhs, rhs) for lhs, rhs in pairs])
+                return generators, lambda: _row_pair_system(n, pairs, den)
 
     else:
         lam, info = _matrix_spectral_data(a)

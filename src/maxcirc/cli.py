@@ -99,20 +99,6 @@ def _parse_scalar_list(values, where: str) -> list[Fraction]:
     return [_parse_scalar(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
-def _parse_circulant(values, where: str) -> Circulant:
-    """A circulant whose entries ``Circulant`` coerces, each once.
-
-    Otherwise the list is parsed entry by entry, so the error names the
-    first bad entry as ``_parse_scalar_list`` does.
-    """
-    if isinstance(values, list) and values and all(type(v) in (int, str) for v in values):
-        try:
-            return Circulant(tuple(values))
-        except (ValueError, ZeroDivisionError, TypeError):
-            pass
-    return Circulant(tuple(_parse_scalar_list(values, where)))
-
-
 def _parse_interval(item, where: str) -> ScalarInterval:
     if not isinstance(item, dict):
         raise ProblemError(f"{where}: expected an object with lower/upper/brackets")
@@ -134,7 +120,7 @@ def _parse_matrix_operand(obj, where: str) -> Circulant | MaxMatrix:
     if ("circulant" in obj) == ("matrix" in obj):
         raise ProblemError(f"{where}: give exactly one of 'circulant' or 'matrix'")
     if "circulant" in obj:
-        return _parse_circulant(obj["circulant"], f"{where}.circulant")
+        return Circulant(tuple(_parse_scalar_list(obj["circulant"], f"{where}.circulant")))
     rows = obj["matrix"]
     if not isinstance(rows, list) or not rows:
         raise ProblemError(f"{where}.matrix: expected a nonempty list of rows")
@@ -145,7 +131,7 @@ def _parse_matrix_operand(obj, where: str) -> Circulant | MaxMatrix:
 
 
 def _circulant_analysis(problem: dict, flags: dict) -> dict:
-    c = _parse_circulant(problem.get("circulant"), "circulant")
+    c = Circulant(tuple(_parse_scalar_list(problem.get("circulant"), "circulant")))
     results: dict = {"n": c.n, "lambda": _fmt(max(c.row))}
     if flags["decimals"] is not None:
         results["lambda_decimal"] = _fmt_decimal(max(c.row), flags["decimals"])

