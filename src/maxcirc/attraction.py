@@ -458,9 +458,7 @@ def check_attraction_inclusion(
     The first failure is the counterexample; otherwise the verdict is
     consistent, which then only means that no counterexample was found.
 
-    Vectors are integer numerators over one denominator throughout.  The
-    second cone is homogeneous, so a ray (a vector up to positive scaling)
-    already found in it is answered from a memo.
+    Vectors are integer numerators over one denominator throughout.
 
     A circulant operand's cone is defined by ``reduced_attraction_system``,
     whose solution set is that of ``attraction_system``: for two circulants
@@ -508,16 +506,7 @@ def check_attraction_inclusion(
     # check.  For an admissible ``a`` that system's solution set is the cone,
     # so only the cone of ``b`` is tested.
     in_b = _membership_test(b, spectral_b)
-
-    in_b_rays: set[tuple[int, ...]] = set()
     tested = 0
-
-    def ray_in_b(ray: tuple[int, ...]) -> bool:
-        if ray not in in_b_rays:
-            if not in_b(ray):
-                return False
-            in_b_rays.add(ray)
-        return True
 
     def probe(x: Scaled) -> MaxVector | None:
         nonlocal tested
@@ -525,7 +514,7 @@ def check_attraction_inclusion(
         if not g:
             return None
         tested += 1
-        return None if ray_in_b(tuple(v // g for v in x[0])) else _vector(x)
+        return None if in_b(tuple(v // g for v in x[0])) else _vector(x)
 
     if a.is_zero():
         # Attraction cone of the zero matrix is the whole space.
@@ -572,7 +561,7 @@ def check_attraction_inclusion(
     if generators is not None:
         # A max cone is the max-span of its generators, so it lies in the
         # cone of ``b`` exactly when every generator does.
-        bad = next((g for g in generators if not ray_in_b(g)), None)
+        bad = next((g for g in generators if not in_b(g)), None)
         if bad is not None:
             return InclusionVerdict(False, _vector((bad, 1)), trials_run=0, members_tested=tested + 1)
         return _consistent(tested, trials)

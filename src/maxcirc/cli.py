@@ -61,7 +61,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
-MAX_DECIMALS = 10_000  # display-only renderings; larger requests are input errors
+# Display-only renderings; larger requests are input errors.  The bound is the
+# interpreter's limit on converting an integer to text (0 disables it), which
+# also bounds the digits of a parsed numerator, so the whole and the
+# fractional part of a rendering each convert within it.
+MAX_DECIMALS = sys.get_int_max_str_digits() or 10_000
 
 
 class ProblemError(ValueError):
@@ -80,8 +84,8 @@ def _fmt_decimal(q: Fraction, places: int) -> str:
     """``q`` rounded half-to-even to ``places`` decimal places, computed exactly."""
     if places == 0:
         return str(round(q))
-    digits = str(round(q * 10**places)).rjust(places + 1, "0")
-    return f"{digits[:-places]}.{digits[-places:]}"
+    whole, fraction = divmod(round(q * 10**places), 10**places)
+    return f"{whole}.{str(fraction).rjust(places, '0')}"
 
 
 def _parse_scalar(value, where: str) -> Fraction:

@@ -211,7 +211,8 @@ def _fixpoint(
     """Sweep from ``upper`` (gcd-reduced) to the greatest solution below it.
 
     Every solution below ``upper`` stays below each iterate, so an iterate
-    that drops below ``lower`` proves there is none at or above it: then None.
+    that drops below ``lower``, or collapses to zero while ``lower`` is
+    positive somewhere, proves there is none at or above it: then None.
     """
     lows = [(lo.numerator, lo.denominator) for lo in (() if lower is None else lower.entries)]
     x = upper
@@ -227,7 +228,7 @@ def _fixpoint(
         # and a collapse against a newer iterate is one against every older
         # one: testing the oldest kept iterate is testing them all.
         if _collapsed(history[0], new):
-            return (0,) * len(nums), 1
+            return None if any(a for a, _ in lows) else ((0,) * len(nums), 1)
         history.append(new)
         if len(history) > 24:
             history.pop(0)
@@ -389,58 +390,53 @@ def feasible_in_box(system: TwoSidedSystem, box: Box) -> FeasibilityResult:
     """Decide whether some point of the box solves the system.
 
     Strategy: compute the greatest solution g below the closure upper corner.
-    Any solution in the box is componentwise at most g, so a lower bound that
-    g fails is a proof of infeasibility.  If g meets every bound it is the
-    witness; when only strict upper bounds block it, homogeneity is used to
-    scale the witness inward.  If scaling is blocked by a tight lower bound
-    the outcome is 'unknown_strict_boundary' unless a fallback enumeration
-    finds an interior witness.
+    Any solution in the box is componentwise at most g, so a sweep that falls
+    below the closure lower corner, or collapses to zero above a positive
+    one, proves infeasibility.  If g lies in the box it is the witness; if it
+    ties an open lower bound, nothing below it clears that bound.  When only
+    open upper bounds block g, homogeneity scales it inward unless a closed
+    lower bound is tight.  Then, and past the iteration cap, a complete
+    enumeration fallback decides where it can; otherwise the outcome is
+    'unknown_strict_boundary', or ``IterationCapExceeded`` past the cap.
     """
     if box.n != system.n:
         raise DimensionMismatch(f"box size {box.n} vs system width {system.n}")
-    ivs = box.intervals
     if not system.equations:
         return _finish_feasible(system, box, box.interior_point())
 
+    capped = None
     try:
         x = _fixpoint(
             system, _scaled(box.closure_upper().entries), system.iteration_cap, box.closure_lower()
         )
     except IterationCapExceeded as exc:
-        complete, witness = _exhaustive_search(system, box)
-        if witness is not None:
-            return _finish_feasible(system, box, witness)
-        if complete and box.is_closed:
+        capped = exc
+    else:
+        if x is None:
+            return FeasibilityResult("infeasible")
+        g = _vector(x)
+        if box.contains(g):
+            return _finish_feasible(system, box, g)
+        pairs = list(zip(g.entries, box.intervals))
+        if any(v == iv.lower and not iv.lower_closed for v, iv in pairs):
+            return FeasibilityResult("infeasible")
+        # Only open upper bounds block g.  A scaled solution is still a
+        # solution (solution sets are max cones), and any factor strictly
+        # between the largest lower-bound ratio and 1 clears every upper
+        # bound and every positive lower bound strictly.
+        c_min = max((iv.lower / v for v, iv in pairs if iv.lower > 0), default=ZERO)
+        if c_min < 1:
+            return _finish_feasible(system, box, g.scale((c_min + 1) / 2))
+    complete, witness = _exhaustive_search(system, box)
+    if witness is not None:
+        return _finish_feasible(system, box, witness)
+    if capped is not None:
+        if not complete:
+            raise IterationCapExceeded(f"{capped} and fallback enumeration unavailable") from None
+        if box.is_closed:
             # The candidate pool provably contains a witness whenever the
             # closed box meets the solution set, so an empty search decides.
             return FeasibilityResult("infeasible")
-        if complete:
-            return FeasibilityResult("unknown_strict_boundary")
-        raise IterationCapExceeded(f"{exc} and fallback enumeration unavailable") from None
-    if x is None:
-        return FeasibilityResult("infeasible")
-    g = _vector(x)
-
-    for v, iv in zip(g.entries, ivs):
-        if v < iv.lower or (v == iv.lower and not iv.lower_closed):
-            return FeasibilityResult("infeasible")
-
-    if not any(not iv.upper_closed and v == iv.upper for v, iv in zip(g.entries, ivs)):
-        return _finish_feasible(system, box, g)
-
-    # Scale the witness inward off the strict upper boundaries.  The scaled
-    # vector is still a solution (solution sets are max cones), and any
-    # factor strictly between the largest lower-bound ratio and 1 clears
-    # every positive lower bound strictly.
-    c_min = max((iv.lower / v for v, iv in zip(g.entries, ivs) if iv.lower > 0), default=ZERO)
-    if c_min < 1:
-        c = (c_min + 1) / 2
-        scaled = g.scale(c)
-        if box.contains(scaled):
-            return _finish_feasible(system, box, scaled)
-    _, witness = _exhaustive_search(system, box)
-    if witness is not None:
-        return _finish_feasible(system, box, witness)
     return FeasibilityResult("unknown_strict_boundary")
 
 
@@ -474,8 +470,6 @@ def _candidate_values(system: TwoSidedSystem, box: Box) -> list[Fraction] | None
     """
     coeffs = system._coefficients
     bounds = {b for iv in box.intervals for b in (iv.lower, iv.upper) if b > 0}
-    if not bounds:
-        return [ZERO]
     ratios = {a / b for a in coeffs for b in coeffs} if coeffs else {ONE}
     lo = min(iv.lower for iv in box.intervals)
     hi = max(iv.upper for iv in box.intervals)

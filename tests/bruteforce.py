@@ -374,8 +374,8 @@ def feasible_in_box_sweep(n, equations, intervals):
 # The library's inclusion sampler, step for step, on raw tuples: the same random
 # draws in the same order, greatest solutions by the rational sweep above, and
 # membership by evaluating the defining equations.  The library runs it on
-# integer numerators and answers repeated rays from a memo; the verdicts must
-# be equal, counterexample included.
+# integer numerators and tests each gcd-reduced ray against the second cone
+# anew; the verdicts must be equal, counterexample included.
 
 
 def period_window(a, lam):

@@ -307,6 +307,7 @@ def test_json_booleans_are_not_scalars(tmp_path, capsys, flag):
         ([1, False, "-1", 0], "a.circulant[1]: expected an integer or 'p/q' string, got False"),
         ("1, 0", "a.circulant: expected a nonempty list"),
         ([], "a.circulant: expected a nonempty list"),
+        ([1, 0, 0, "1e5000"], "a.circulant[3]: exponent notation is not accepted; write an integer or 'p/q': '1e5000'"),
     ],
 )
 def test_bad_circulant_entries_are_named_by_index(tmp_path, capsys, entries, message):
@@ -314,6 +315,56 @@ def test_bad_circulant_entries_are_named_by_index(tmp_path, capsys, entries, mes
         tmp_path, {"kind": "inclusion_check", "a": {"circulant": entries}, "b": {"circulant": [1, 0, 0, 0]}}
     )
     assert run(problem) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+CIRC = {"circulant": ["1", "0"]}
+INTERVAL = {"lower": "0", "upper": "1"}
+
+
+@pytest.mark.parametrize(
+    "problem, flags, message",
+    [
+        ([CIRC], {}, "top level must be an object"),
+        ({"kind": "circulant_analysis", **CIRC}, {"mode": "bogus"}, "unsupported mode: 'bogus'"),
+        ({"kind": "inclusion_check", "a": ["1", "0"], "b": CIRC}, {}, "a: expected an object with 'circulant' or 'matrix'"),
+        ({"kind": "inclusion_check", "a": CIRC, "b": {}}, {}, "b: give exactly one of 'circulant' or 'matrix'"),
+        (
+            {"kind": "inclusion_check", "a": {**CIRC, "matrix": [["1"]]}, "b": CIRC},
+            {},
+            "a: give exactly one of 'circulant' or 'matrix'",
+        ),
+        ({"kind": "inclusion_check", "a": {"matrix": []}, "b": CIRC}, {}, "a.matrix: expected a nonempty list of rows"),
+        ({"kind": "attraction_check", "matrix": "1", "vector": ["1"]}, {}, "problem.matrix: expected a nonempty list of rows"),
+        ({"kind": "attraction_check", "matrix": [["1", "0"]], "vector": ["1"]}, {}, "problem.matrix: must be square"),
+        (
+            {"kind": "robustness_classify", "interval_circulant": [INTERVAL, "0"], "box": [INTERVAL] * 2},
+            {},
+            "interval_circulant[1]: expected an object with lower/upper/brackets",
+        ),
+        (
+            {"kind": "robustness_classify", "interval_circulant": [INTERVAL] * 2, "box": [{**INTERVAL, "brackets": "]["}]},
+            {},
+            "box[0]: bracket token must be one of ('[]', '[)', '(]', '()'): ']['",
+        ),
+    ],
+    ids=[
+        "top-level-list",
+        "unsupported-mode",
+        "operand-not-an-object",
+        "operand-with-neither-form",
+        "operand-with-both-forms",
+        "empty-matrix",
+        "matrix-not-a-list",
+        "non-square-matrix",
+        "interval-not-an-object",
+        "bad-bracket-token",
+    ],
+)
+def test_invalid_input_exits_2_with_its_message(tmp_path, capsys, problem, flags, message):
+    out = tmp_path / "report.json"
+    assert run(write_problem(tmp_path, problem), output=out, **flags) == 2
+    assert not out.exists()
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -393,6 +444,24 @@ def test_many_decimals_render_exactly(tmp_path):
     assert read_report(out)["results"]["lambda_decimal"] == "1." + "0" * 400
 
 
+@pytest.mark.parametrize(
+    "lam, whole",
+    [("1", "1"), ("9" * MAX_DECIMALS, "9" * MAX_DECIMALS), ("9" * MAX_DECIMALS + "/7", str(int("9" * MAX_DECIMALS) // 7))],
+    ids=["one", "longest-numerator", "longest-numerator-over-7"],
+)
+def test_decimals_at_the_bound_render(tmp_path, lam, whole):
+    # The bound is the interpreter's digit limit for int-to-text conversion,
+    # which a parsed numerator also meets, so the rendering converts its
+    # whole and fractional parts separately, each within the limit.
+    out = tmp_path / "report.json"
+    problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": ["0", lam, "0"]})
+    assert run(problem, decimals=MAX_DECIMALS, output=out) == 0
+    rendered = read_report(out)["results"]["lambda_decimal"]
+    assert rendered == _fmt_decimal(Fraction(lam), MAX_DECIMALS)
+    assert rendered.split(".") == [whole, rendered[len(whole) + 1 :]]
+    assert len(rendered) == len(whole) + 1 + MAX_DECIMALS
+
+
 def test_negative_trials_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(write_problem(tmp_path, INCLUSION), trials=-5, output=out) == 2
@@ -409,6 +478,7 @@ def test_decimal_rendering_is_exact():
     assert _fmt_decimal(Fraction(7, 2), 0) == "4"
     assert _fmt_decimal(Fraction(1, 1000), 2) == "0.00"
     assert _fmt_decimal(Fraction(123, 10), 3) == "12.300"
+    assert _fmt_decimal(Fraction(999, 1000), 2) == "1.00"  # the carry reaches the whole part
 
 
 def test_internal_error_exits_4(tmp_path, monkeypatch):
@@ -449,6 +519,7 @@ FUZZ_SCALARS = st.sampled_from(["0", "1/4", "1/2", "1", "2", "3"])
 # Raised by attraction_check on a general matrix with an irrational
 # eigenvalue; the benchmark pins it as the one known escaping exception.
 IRRATIONAL = "attraction system needs a rational eigenvalue"
+FUZZ_KINDS = st.sampled_from(["circulant_analysis", "attraction_check", "inclusion_check", "robustness_classify"])
 # JSON values other than strings, which are rejected as kinds (exit 2).
 NON_STRING_KINDS = st.sampled_from([None, 0, ["circulant_analysis"], {}, {"kind": "circulant_analysis"}])
 
@@ -477,12 +548,8 @@ def fuzz_problems(draw):
         brackets = draw(st.sampled_from(["[]", "[]", "[]", "[)", "(]", "()"]))
         return {"lower": bounds[0], "upper": bounds[1], "brackets": brackets}
 
-    kind = draw(
-        st.sampled_from(
-            ["circulant_analysis", "attraction_check", "inclusion_check", "robustness_classify"]
-        )
-        | NON_STRING_KINDS
-    )
+    # Mostly a real kind: a non-string kind ends at the first check.
+    kind = draw(FUZZ_KINDS if draw(st.integers(0, 9)) < 9 else NON_STRING_KINDS)
     if not isinstance(kind, str) or kind == "circulant_analysis":
         return {"kind": kind, "circulant": row(n)}
     if kind == "attraction_check":

@@ -44,6 +44,15 @@ def test_as_scalar_rejects_floats_and_negatives():
         as_scalar("-2/3")
 
 
+@pytest.mark.parametrize("text", ["1e3000000", "1E2", "2.5e-1", "1e0"])
+def test_as_scalar_rejects_exponent_notation(text):
+    # Fraction would compute the power of ten in full before any bound applies.
+    with pytest.raises(ValueError, match="exponent notation is not accepted"):
+        as_scalar(text)
+    with pytest.raises(ValueError, match="exponent notation is not accepted"):
+        MaxVector.of(["1", text])
+
+
 def test_mat_mul_identity():
     n = A31.n
     assert mat_mul(MaxMatrix.identity(n), A31) == A31

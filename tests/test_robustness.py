@@ -230,20 +230,43 @@ def test_classify_surfaces_closedness_hypothesis():
     assert report.possibly_box_robust.decided
 
 
+# Corner 4's attraction system splits into odd and even coordinates.  The
+# boxes below pin x5 = 0, where only the zero vector solves the odd part, so
+# its sweep shrinks x1 and x3 forever while x6 = 1/2 keeps it from collapsing.
+CAPPED_IC = IntervalCirculant.of(
+    [("1/4", "1/3"), (0, "3/4"), ("1/3", "3/4"), (0, "1/3"), ("3/4", "3/4"), (0, "1/3")]
+)
+
+
 def test_iteration_cap_without_fallback_is_an_unknown_verdict():
     # The corner systems' simultaneous sweep exceeds its iteration cap, and
     # the box is too large for the enumeration fallback.
-    ic = IntervalCirculant.of(
-        [("1/4", "1/3"), (0, "3/4"), ("1/3", "3/4"), (0, "1/3"), ("3/4", "3/4"), (0, "1/3")]
-    )
     box = Box.of(
         [(0, "1/4"), (0, "3/4"), (0, 1), ("1/4", 1, "[)"), (0, 0), ("1/2", "1/2")]
     )
-    report = classify(ic, box)
+    report = classify(CAPPED_IC, box)
     assert report.box_possibly_robust.status == "unknown_strict_boundary"
     assert report.box_possibly_robust.reason.startswith("iteration cap: ")
     assert report.possibly_box_robust.status == "yes"
     assert report.universally_box_robust.status == "no"
+    assert implication_violations(report) == []
+
+
+def test_tolerance_keeps_an_undecided_corner_verdict():
+    # The box above, closed, so the tolerance classifier runs its corner
+    # loop: corner 4 exceeds its cap with too large an enumeration, and the
+    # corners after it are feasible, so the undecided verdict stands.
+    box = Box.of([(0, "1/4"), (0, "3/4"), (0, 1), ("1/4", 1), (0, 0), ("1/2", "1/2")])
+    statuses = [
+        robustness._feasibility_verdict(feasible_in_box, attraction_system(corner_matrix(CAPPED_IC, k)), box).status
+        for k in range(6)
+    ]
+    assert statuses == ["yes"] * 4 + ["unknown_strict_boundary", "yes"]
+    report = classify(CAPPED_IC, box)
+    assert report.tolerance_box_robust == robustness.Verdict(
+        "unknown_strict_boundary",
+        "iteration cap: no stabilization within 180 sweeps and fallback enumeration unavailable",
+    )
     assert implication_violations(report) == []
 
 

@@ -150,6 +150,33 @@ def test_strict_lower_bound_infeasibility_is_decisive():
     assert feasible_in_box(s, box).status == "infeasible"
 
 
+def test_collapse_above_a_positive_lower_bound_is_infeasible():
+    from maxcirc.twosided import _fixpoint
+
+    s = TwoSidedSystem.of(2, [((1, 1), (2, 2))])  # forces the zero vector
+    # The first sweep from (2, 2) gives (1, 1): still at the lower corner,
+    # but a collapse, so no solution reaches that corner.
+    assert _fixpoint(s, ((2, 2), 1), s.iteration_cap, MaxVector.of([1, 1])) is None
+    assert _fixpoint(s, ((2, 2), 1), s.iteration_cap, MaxVector.of([0, 1])) is None
+    assert _fixpoint(s, ((2, 2), 1), s.iteration_cap, MaxVector.of([0, 0])) == ((0, 0), 1)
+    assert _fixpoint(s, ((2, 2), 1), s.iteration_cap) == ((0, 0), 1)
+    assert feasible_in_box(s, Box.of([(1, 2), (1, 2)])).status == "infeasible"
+    assert feasible_in_box(s, Box.of([(0, 2), (0, 2)])).witness == MaxVector.zeros(2)
+
+
+@pytest.mark.parametrize("brackets, status", [("[]", "infeasible"), ("(]", "unknown_strict_boundary")])
+def test_capped_sweep_with_an_empty_complete_enumeration(brackets, status):
+    # x1 == 2 x1 halves x1 in every sweep, and x2, in no equation, keeps the
+    # iterate from collapsing, so the sweep reaches its cap of 60 sweeps at
+    # x1 = 2^-60, above the lower bound 2^-70.  The enumeration pool is then
+    # complete and holds no witness, which decides only a closed box.
+    s = TwoSidedSystem.of(2, [((1, 0), (2, 0))])
+    box = Box.of([(F(1, 2**70), 1, brackets), (1, 1)])
+    with pytest.raises(IterationCapExceeded, match="within 60 sweeps"):
+        greatest_solution_leq(s, box.closure_upper())
+    assert feasible_in_box(s, box).status == status
+
+
 def test_feasibility_matches_grid_oracle_on_random_systems():
     rng = random.Random(42)
     coeff_pool = [0, F(1, 2), 1, 2]
