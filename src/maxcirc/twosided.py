@@ -432,7 +432,7 @@ def feasible_in_box(system: TwoSidedSystem, box: Box) -> FeasibilityResult:
         return _finish_feasible(system, box, witness)
     if capped is not None:
         if not complete:
-            raise IterationCapExceeded(f"{capped} and fallback enumeration unavailable") from None
+            raise IterationCapExceeded(f"{capped} and fallback enumeration unavailable")
         if box.is_closed:
             # The candidate pool provably contains a witness whenever the
             # closed box meets the solution set, so an empty search decides.
