@@ -31,7 +31,7 @@ its components), a general matrix whose normalized powers or orbit repeat
 only past the detection cap (``periodicity.HARD_DETECTION_CAP`` steps), an
 inclusion check whose operands differ in size or whose ``a`` has an
 irrational eigenvalue, or an invalid flag value (an unknown mode, a negative
-trials count, decimals outside 0..MAX_DECIMALS); 3 analysis ran but every
+trials count, decimals outside 0..max_decimals()); 3 analysis ran but every
 classifier answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
@@ -61,11 +61,15 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_INTERNAL = 4
-# Display-only renderings; larger requests are input errors.  The bound is the
-# interpreter's limit on converting an integer to text (0 disables it), which
-# also bounds the digits of a parsed numerator, so the whole and the
-# fractional part of a rendering each convert within it.
-MAX_DECIMALS = sys.get_int_max_str_digits() or 10_000
+
+
+def max_decimals() -> int:
+    """Most places a rendering may take: the interpreter's current int-to-text digit limit.
+
+    A parsed numerator meets the same limit (0 turns it off), so the whole and
+    the fractional part of a rendering each convert within it.
+    """
+    return sys.get_int_max_str_digits() or 10_000
 
 
 class ProblemError(ValueError):
@@ -258,8 +262,8 @@ def run(
             raise ProblemError(f"unsupported mode: {mode!r}")
         if trials < 0:
             raise ProblemError(f"trials must be nonnegative: got {trials}")
-        if decimals is not None and not 0 <= decimals <= MAX_DECIMALS:
-            raise ProblemError(f"decimals must be in 0..{MAX_DECIMALS}: got {decimals}")
+        if decimals is not None and not 0 <= decimals <= max_decimals():
+            raise ProblemError(f"decimals must be in 0..{max_decimals()}: got {decimals}")
         try:
             text = Path(problem_path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

@@ -14,9 +14,10 @@ both sides of every equation at or below the smaller of the two current side
 values.  Each sweep is monotone and keeps every solution below the iterate,
 so the first fixpoint is the greatest solution.  Over the rationals the
 sweep need not terminate (coordinates can shrink geometrically forever), so
-two escape hatches exist: a sound collapse test (one round dominated by a
-uniform factor < 1 proves the greatest solution is the zero vector) and an
-honest iteration cap.  Feasibility decisions fall back to a complete
+two escape hatches exist: a sound collapse test (an iterate dominated by
+the sweep's upper bound times a uniform factor < 1 proves the greatest
+solution is the zero vector, however many sweeps that takes) and an honest
+iteration cap.  Feasibility decisions fall back to a complete
 corner-candidate enumeration at small sizes when the cap is hit.
 
 The arithmetic is exact and on Python ints: each equation is multiplied by
@@ -190,11 +191,7 @@ def _sweep(eqs, x: Scaled) -> Scaled:
 
 
 def _collapsed(prev: Scaled, new: Scaled) -> bool:
-    """True when new <= c * prev for a single factor c < 1.
-
-    Then iterating the (homogeneous, monotone) sweep from ``prev`` shrinks to
-    zero, and every solution below ``prev`` is the zero vector.
-    """
+    """True when new <= c * prev for a single factor c < 1."""
     (prev_nums, prev_den), (new_nums, new_den) = prev, new
     for p, v in zip(prev_nums, new_nums):
         if p == 0:
@@ -211,12 +208,16 @@ def _fixpoint(
     """Sweep from ``upper`` (gcd-reduced) to the greatest solution below it.
 
     Every solution below ``upper`` stays below each iterate, so an iterate
-    that drops below ``lower``, or collapses to zero while ``lower`` is
-    positive somewhere, proves there is none at or above it: then None.
+    below ``lower`` proves there is none at or above it: then None.  A
+    collapse, an iterate at most c * ``upper`` for one c < 1, returns zero,
+    or None while ``lower`` is positive somewhere.  The sweep S is monotone
+    and homogeneous, so S^k(upper) <= c * upper gives S^(jk)(upper) <=
+    c^j * upper for every j, and only zero solves below ``upper``.  The
+    iterates never rise, so a collapse against any of them is one against
+    ``upper`` too: no test against an intermediate iterate fires earlier.
     """
     lows = [(lo.numerator, lo.denominator) for lo in (() if lower is None else lower.entries)]
     x = upper
-    history = [x]
     for _ in range(cap):
         new = _sweep(system._scaled_equations, x)
         nums, den = new
@@ -224,14 +225,8 @@ def _fixpoint(
             return None
         if new == x:
             return x
-        # The sweep only lowers coordinates, so the iterates are non-increasing
-        # and a collapse against a newer iterate is one against every older
-        # one: testing the oldest kept iterate is testing them all.
-        if _collapsed(history[0], new):
+        if _collapsed(upper, new):
             return None if any(a for a, _ in lows) else ((0,) * len(nums), 1)
-        history.append(new)
-        if len(history) > 24:
-            history.pop(0)
         x = new
     raise IterationCapExceeded(f"no stabilization within {cap} sweeps")
 

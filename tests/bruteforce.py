@@ -258,23 +258,20 @@ def collapsed(prev, new):
 
 
 def _run_sweep(n, equations, upper, cap, lower=None):
-    """Iterate to a fixpoint: returns the iterate, None when below ``lower``.
+    """Iterate to a fixpoint: returns the iterate, None when below ``lower``,
+    and the zero vector when an iterate collapses against ``upper``.
 
     Raises SweepCapExceeded when no fixpoint is reached within ``cap`` rounds.
     """
     x = list(upper)
-    history = [tuple(x)]
     for _ in range(cap):
         new = residuation_round(equations, x)
         if lower is not None and any(v < lo for v, lo in zip(new, lower)):
             return None
         if new == x:
             return tuple(x)
-        if any(collapsed(prev, new) for prev in history):
+        if collapsed(upper, new):
             return (F(0),) * n
-        history.append(tuple(new))
-        if len(history) > 24:
-            history.pop(0)
         x = new
     raise SweepCapExceeded
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxcirc.cli import MAX_DECIMALS, _fmt_decimal, run
+from maxcirc.cli import _fmt_decimal, max_decimals, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -432,7 +432,7 @@ INCLUSION = {
 def test_decimals_out_of_range_exit_2(tmp_path, capsys):
     problem = write_problem(tmp_path, CIRCULANT_ANALYSIS)
     out = tmp_path / "report.json"
-    for decimals in (-1, MAX_DECIMALS + 1):
+    for decimals in (-1, max_decimals() + 1):
         assert run(problem, decimals=decimals, output=out) == 2
         assert not out.exists()
         assert "decimals" in capsys.readouterr().err
@@ -444,22 +444,44 @@ def test_many_decimals_render_exactly(tmp_path):
     assert read_report(out)["results"]["lambda_decimal"] == "1." + "0" * 400
 
 
+def assert_renders_at_the_bound(tmp_path, lam, whole):
+    bound = max_decimals()
+    out = tmp_path / "report.json"
+    problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": ["0", lam, "0"]})
+    assert run(problem, decimals=bound, output=out) == 0
+    rendered = read_report(out)["results"]["lambda_decimal"]
+    assert rendered == _fmt_decimal(Fraction(lam), bound)
+    assert rendered.split(".") == [whole, rendered[len(whole) + 1 :]]
+    assert len(rendered) == len(whole) + 1 + bound
+
+
 @pytest.mark.parametrize(
     "lam, whole",
-    [("1", "1"), ("9" * MAX_DECIMALS, "9" * MAX_DECIMALS), ("9" * MAX_DECIMALS + "/7", str(int("9" * MAX_DECIMALS) // 7))],
+    [("1", "1"), ("9" * max_decimals(), "9" * max_decimals()), ("9" * max_decimals() + "/7", str(int("9" * max_decimals()) // 7))],
     ids=["one", "longest-numerator", "longest-numerator-over-7"],
 )
 def test_decimals_at_the_bound_render(tmp_path, lam, whole):
     # The bound is the interpreter's digit limit for int-to-text conversion,
     # which a parsed numerator also meets, so the rendering converts its
     # whole and fractional parts separately, each within the limit.
-    out = tmp_path / "report.json"
-    problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": ["0", lam, "0"]})
-    assert run(problem, decimals=MAX_DECIMALS, output=out) == 0
-    rendered = read_report(out)["results"]["lambda_decimal"]
-    assert rendered == _fmt_decimal(Fraction(lam), MAX_DECIMALS)
-    assert rendered.split(".") == [whole, rendered[len(whole) + 1 :]]
-    assert len(rendered) == len(whole) + 1 + MAX_DECIMALS
+    assert_renders_at_the_bound(tmp_path, lam, whole)
+
+
+def test_decimals_bound_follows_a_lowered_digit_limit(tmp_path, capsys):
+    # The bound is read when a run starts, so a program that lowers the
+    # limit after importing the CLI gets exit 2 past it, not a ValueError.
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        assert max_decimals() == 1000
+        out = tmp_path / "report.json"
+        assert run(write_problem(tmp_path, CIRCULANT_ANALYSIS), decimals=1001, output=out) == 2
+        assert not out.exists()
+        assert "decimals must be in 0..1000: got 1001" in capsys.readouterr().err
+        assert_renders_at_the_bound(tmp_path, "1", "1")
+        assert_renders_at_the_bound(tmp_path, "9" * 1000 + "/7", str(int("9" * 1000) // 7))
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_negative_trials_exits_2(tmp_path, capsys):

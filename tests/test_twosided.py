@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from maxcirc import (
     Box,
     Circulant,
+    FeasibilityResult,
     IterationCapExceeded,
     MaxVector,
     ScalarInterval,
@@ -162,6 +163,31 @@ def test_collapse_above_a_positive_lower_bound_is_infeasible():
     assert _fixpoint(s, ((2, 2), 1), s.iteration_cap) == ((0, 0), 1)
     assert feasible_in_box(s, Box.of([(1, 2), (1, 2)])).status == "infeasible"
     assert feasible_in_box(s, Box.of([(0, 2), (0, 2)])).witness == MaxVector.zeros(2)
+
+
+def cyclic_chain(m):
+    """x_1 == x_2, ..., x_(m-1) == x_m, x_m == x_1 / 2: only the zero vector solves it."""
+    unit = [[int(j == i) for j in range(m)] for i in range(m)]
+    eqs = [(unit[i], unit[i + 1]) for i in range(m - 1)]
+    eqs.append((unit[m - 1], [F(1, 2) * v for v in unit[0]]))
+    return TwoSidedSystem.of(m, eqs)
+
+
+@pytest.mark.parametrize("m", [24, 25, 30, 40])
+def test_long_cyclic_chain_collapses_to_zero(m):
+    # Each sweep moves the halving one step along the chain, so the iterate
+    # falls below (1, ..., 1) everywhere only after about m sweeps; the
+    # collapse is certified against that upper bound, not a recent iterate.
+    s = cyclic_chain(m)
+    ones = MaxVector.of([1] * m)
+    assert greatest_solution_leq(s, ones) == MaxVector.zeros(m)
+    assert bf.greatest_solution_sweep(m, eq_tuples(s), ones.entries) == (F(0),) * m
+    half_open, closed = Box.of([(0, 1, "(]")] * m), Box.of([(0, 1)] * m)
+    assert feasible_in_box(s, half_open).status == "infeasible"
+    assert feasible_in_box(s, closed) == FeasibilityResult("feasible", MaxVector.zeros(m))
+    halves = [TwoSidedSystem(m, s.equations[: m // 2]), TwoSidedSystem(m, s.equations[m // 2 :])]
+    assert simultaneous_feasible(halves, half_open).status == "infeasible"
+    assert simultaneous_feasible(halves, closed) == FeasibilityResult("feasible", MaxVector.zeros(m))
 
 
 @pytest.mark.parametrize("brackets, status", [("[]", "infeasible"), ("(]", "unknown_strict_boundary")])
