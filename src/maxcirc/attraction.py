@@ -35,6 +35,11 @@ rows of A^(n^2) coincide and the reduced system is empty.  Two such cones
 decide their inclusion from their two spectral passes.  Against any other
 cone it takes the general route, where it has no row pairs and the double
 description keeps the unit vectors as its generators.
+
+Two circulants with a <= b entrywise, a nonzero, and equal largest
+entries need no cone at all: the cone of a lies in that of b
+(``_is_dominated`` gives the proof), so their inclusion is decided,
+exactly, from one entrywise comparison of the rows.
 """
 
 from __future__ import annotations
@@ -221,6 +226,36 @@ def _is_whole_space(spectral: CircSpectral) -> bool:
     return spectral.period == 1
 
 
+def _is_dominated(a: Circulant, b: Circulant) -> bool:
+    """Whether a <= b entrywise with max(a) = max(b) > 0: then the cone of a lies in that of b.
+
+    The rows are compared first, which settles a swapped pair at its first
+    larger entry.  Both eigenvalues are the largest entry lambda > 0; with
+    N_A = A / lambda and N_B = B / lambda, N_A <= N_B entrywise, so
+    N_A^k <= N_B^k for every k.  No commutativity is used.
+
+    1. An offset m with a_m = lambda closes the walk i, i+m, i+2m, ...
+       into a cycle of l = n / gcd(m, n) arcs of weight lambda through each
+       node i, so every diagonal entry of N_A^l is at least 1 and
+       N_A^(kl) >= I for every k >= 0.
+    2. x in the cone of A means N_A^(n^2+1) x = N_A^(n^2) x, so y = N_A^u x
+       is the same vector for every u >= n^2.  With kl >= n^2,
+       y = N_A^(kl) x >= I x = x.
+    3. The normalized powers of B are ultimately periodic, with a transient
+       T_B <= n^2 (the exponent the defining systems use) and a period p:
+       N_B^(t+p) = N_B^t for t >= T_B.
+    4. Take u >= n^2 with u = 1 (mod p).  For t >= T_B + u,
+       N_B^(t+1) x = N_B^(t+1-u) N_B^u x >= N_B^(t+1-u) N_A^u x
+       = N_B^(t+1-u) y >= N_B^(t+1-u) x = N_B^t x,
+       the last step since t+1-u = t (mod p) and both lie past T_B.
+    5. So v_t = N_B^t x is nondecreasing from T_B + u on and p-periodic
+       from T_B on: v_t <= v_(t+1) <= ... <= v_(t+p) = v_t forces
+       v_(t+1) = v_t from T_B + u on, and by periodicity from T_B on.  At
+       t = n^2 this is lambda B^(n^2) x = B^(n^2+1) x: x is in the cone of B.
+    """
+    return all(x <= y for x, y in zip(a.row, b.row)) and max(a.row) == max(b.row) > 0
+
+
 def _row_pair_system(n: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], den: int) -> TwoSidedSystem:
     """The row pairs as a system over the rationals, their numerators over ``den``."""
     return TwoSidedSystem(n, tuple((_vector((lhs, den)), _vector((rhs, den))) for lhs, rhs in pairs))
@@ -316,8 +351,9 @@ class InclusionVerdict:
     is a generator or a window eigenvector.  A circulant first cone that is
     the constant ray alone has that ray as its generating set at any n, and
     one of period 1 has the unit vectors, so their verdicts are always
-    exact.  Past the limit ``consistent`` only means
-    that no sampled member was a counterexample.  ``trials_run`` and
+    exact, and so is the ``consistent`` of a circulant pair a <= b with
+    equal largest entries, which is proved.  Past the limit ``consistent``
+    only means that no sampled member was a counterexample.  ``trials_run`` and
     ``members_tested`` are the sampler's counts, also when the trials were
     counted without being run.
     """
@@ -460,6 +496,12 @@ def check_attraction_inclusion(
 
     Vectors are integer numerators over one denominator throughout.
 
+    Two circulants with a nonzero ``a`` <= ``b`` entrywise and max(a) =
+    max(b) are decided before anything is built: the cone of ``a`` lies in
+    that of ``b`` (see ``_is_dominated``), so the verdict is consistent, and
+    exact at any n, with the counts of the generator path: its n window
+    columns tested, then every trial counted.
+
     A circulant operand's cone is defined by ``reduced_attraction_system``,
     whose solution set is that of ``attraction_system``: for two circulants
     no transient, cycle mean or matrix power is computed.  A circulant ``a``
@@ -491,6 +533,10 @@ def check_attraction_inclusion(
     if a.n != b.n:
         raise DimensionMismatch(f"matrix sizes differ: {a.n} vs {b.n}")
     n = a.n
+    if isinstance(a, Circulant) and isinstance(b, Circulant) and _is_dominated(a, b):
+        # The cone of ``a`` lies in that of ``b``: its n window columns and
+        # then every generator or trial would pass.
+        return _consistent(n, trials)
     spectral_a = circ_spectral(a) if isinstance(a, Circulant) and not a.is_zero() else None
     spectral_b = None
     if spectral_a is not None and _is_whole_space(spectral_a) and isinstance(b, Circulant):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from maxcirc import (
@@ -23,6 +23,7 @@ from maxcirc import (
     circ_spectral,
     critical_structure,
     expand,
+    greatest_solution_leq,
     in_attraction_cone,
     in_attraction_cone_matrix,
     is_kleene_star,
@@ -576,7 +577,8 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # to n) takes one spectral pass and no power.  A second operand tested
     # only on constant rays builds nothing: B 1 = lambda_B 1.  Two operands
     # of period 1 attract every vector and take nothing past their spectral
-    # passes.  Any other
+    # passes.  A nonzero a <= b with equal largest entries takes nothing at
+    # all: its cone lies in that of b.  Any other
     # operand that is read takes one A^(n^2) on integer numerators and one
     # spectral pass; A's serve both its window eigenvectors and its system,
     # and nothing is expanded: the rows of a power are rotations of its
@@ -611,7 +613,9 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
     # (a, b, verdict, operands that take A^(n^2), operands that take a spectral pass)
     cases = [
         # Two components each: a's window reaches b with a non-constant ray.
-        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], True, "ab", "ab"),
+        ([0, 0, 1, "1/4"], [0, "1/4", 1, "1/8"], True, "ab", "ab"),
+        # The same a under a dominating b: decided by the row comparison.
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"], True, "", ""),
         # Both single-ray (period 5): b sees only the constant ray.
         ([0, "1/2", 1, 0, "1/4"], [0, 0, 1, 0, "1/4"], True, "", "a"),
         # A single-ray a against a b with two components.
@@ -624,7 +628,9 @@ def test_inclusion_builds_each_circulant_system_once(monkeypatch):
         ([1, "1/2", 1, 1], ["1/2", 1, "1/4", "1/2"], False, "a", "ab"),
         # Both of period 1 (a maximal diagonal): each takes its spectral pass
         # only, and no row pairs or generators are formed.
-        ([1, "1/2", 0, "1/4"], [1, "1/2", "1/2", "1/4"], True, "", "ab"),
+        ([1, "1/2", 0, "1/4"], [1, "1/4", "1/2", "1/4"], True, "", "ab"),
+        # The same a under a dominating b of period 1: no spectral pass.
+        ([1, "1/2", 0, "1/4"], [1, "1/2", "1/2", "1/4"], True, "", ""),
         ([1, "1/2", 0, "1/4", 0, "1/3", 0, 0], [1, 0, "1/2", 0, 1, 0, 0, "1/4"], True, "", "ab"),
         # A period-1 a against a single-ray b: a keeps its window, refuted at
         # its first column, and b's one spectral pass answers both whether
@@ -684,18 +690,23 @@ def test_a_general_second_cone_is_validated_at_its_first_ray():
 )
 def test_inclusion_is_decided_from_the_generators_without_trials(monkeypatch, a, b, trials, seed, members):
     # Every generator of A's cone lies in B's, so no greatest solution is
-    # computed; the counts are those the sampled trials reach.
+    # computed; the counts are those the sampled trials reach.  Each pair is
+    # dominated, so it is decided by the row comparison; B scaled by 2 has
+    # the same cone and a larger largest entry, so it takes the generators.
     import maxcirc.attraction as attraction
 
     def no_trials(*args):
         raise AssertionError("a trial ran")
 
-    a, b = Circulant.of(a), Circulant.of(b)
+    a = Circulant.of(a)
     assert reduced_attraction_system(a)._generators is not None
     monkeypatch.setattr(attraction, "_greatest", no_trials)
-    assert check_attraction_inclusion(a, b, trials=trials, seed=seed) == InclusionVerdict(
-        True, None, trials_run=trials, members_tested=members
-    )
+    for scale in (1, 2):
+        b_scaled = Circulant.of([scale * F(v) for v in b])
+        assert attraction._is_dominated(a, b_scaled) is (scale == 1)
+        assert check_attraction_inclusion(a, b_scaled, trials=trials, seed=seed) == InclusionVerdict(
+            True, None, trials_run=trials, members_tested=members
+        )
 
 
 @pytest.mark.parametrize(
@@ -784,7 +795,9 @@ def inclusion_operands(draw):
     pairs, which run many trials), the general pair of Example 2.1, or
     random admissible general matrices.  A general first operand has its
     largest entry as eigenvalue, as the Fraction sampler requires; the
-    second has a rational eigenvalue, or is a circulant."""
+    second has a rational eigenvalue, or is a circulant.  A dominated pair
+    is decided by the row comparison unless its second row is doubled,
+    which keeps its cone and takes the general route."""
     kind = draw(st.sampled_from(["random", "dominated", "zero", "example", "general", "general"]))
     if kind == "example":
         return draw(st.sampled_from([(EX21_A, EX21_B), (EX21_B, EX21_A), (EX21_A, A31), (A31, EX21_B)]))
@@ -808,6 +821,8 @@ def inclusion_operands(draw):
         a = [v if v == top else draw(st.sampled_from([u for u in ENTRIES if u <= v])) for v in b]
         if draw(st.booleans()):
             a, b = b, a
+        if draw(st.booleans()):
+            b = [2 * v for v in b]
     return Circulant.of(a), Circulant.of(b)
 
 
@@ -891,7 +906,99 @@ def test_inclusion_verdict_from_the_sweep_is_never_stronger(operands, trials, se
 
 
 def test_inclusion_past_the_generator_limit_samples_by_the_sweep():
+    # Against itself the pair is dominated and decided by the row
+    # comparison; scaled by 2, the same cone takes the sweep, with the same
+    # counts.
     wide = Circulant.of(["1/2", "1/4", "3/4", 0, 1, "1/2", "3/4", 0])
     assert reduced_attraction_system(wide)._generators is None
-    verdict = check_attraction_inclusion(wide, wide, trials=30, seed=1)
+    verdict = check_attraction_inclusion(wide, Circulant.of([2 * v for v in wide.row]), trials=30, seed=1)
     assert verdict.consistent and verdict.trials_run == 30 and verdict.members_tested > 0
+    assert check_attraction_inclusion(wide, wide, trials=30, seed=1) == verdict
+
+
+# --- dominated pairs: a <= b with equal largest entries ----------------------
+
+# Zeros and mixed denominators.
+DOMINATED_ENTRIES = [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1), F(3, 2)]
+
+
+@st.composite
+def dominated_pairs(draw):
+    """A nonzero b and an a <= b entrywise that keeps one of b's maximal entries."""
+    n = draw(st.integers(2, 8))
+    b = draw(st.lists(st.sampled_from(DOMINATED_ENTRIES), min_size=n, max_size=n).filter(any))
+    kept = draw(st.sampled_from([t for t, v in enumerate(b) if v == max(b)]))
+    a = [v if t == kept else draw(st.sampled_from([u for u in DOMINATED_ENTRIES if u <= v])) for t, v in enumerate(b)]
+    return Circulant.of(a), Circulant.of(b)
+
+
+# Dominated pairs at n = 8 whose first cone is past the generator limit, so
+# the general route samples; the first is WIDE_PAIRS[9] of test_report_digests.py.
+WIDE_DOMINATED = [
+    (["1/4", "1/2", "1/3", "1/4", 1, "1/3", "1/3", "2/3"], ["1/4", "1/2", "1/2", "1/4", 1, "1/2", "2/3", "2/3"]),
+    (["1/4", 0, "1/3", 0, 1, "1/3", "1/4", "1/3"], ["3/4", "1/3", "3/4", "1/3", 1, "1/3", "2/3", "1/3"]),
+    (["1/2", "1/3", 0, 0, "1/3", 0, "3/4", "1/4"], ["2/3", "2/3", "1/4", 0, "3/4", "3/4", "3/4", "1/3"]),
+]
+
+UPPER_BOUNDS = st.lists(st.lists(st.sampled_from(DOMINATED_ENTRIES[1:]), min_size=8, max_size=8), min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dominated_pairs(), st.integers(0, 60), st.integers(0, 3), UPPER_BOUNDS)
+@example((Circulant.of(WIDE_DOMINATED[0][0]), Circulant.of(WIDE_DOMINATED[0][1])), 60, 0, [[1] * 8, [F(1, 2), 1] * 4])
+@example((Circulant.of(WIDE_DOMINATED[1][0]), Circulant.of(WIDE_DOMINATED[1][1])), 40, 1, [[F(3, 4), 1, F(1, 3), 1] * 2])
+@example((Circulant.of(WIDE_DOMINATED[2][0]), Circulant.of(WIDE_DOMINATED[2][1])), 40, 2, [[F(2, 3)] * 4 + [1] * 4])
+def test_a_dominated_pair_is_an_included_pair(pair, trials, seed, uppers):
+    # The verdict is consistent with the counts of the generator path: n
+    # window columns, then every trial, which the Fraction sampler reaches
+    # too, past the generator limit included.  B scaled by 2 has the same
+    # cone and a larger largest entry, so it takes the general route to the
+    # same verdict; the swapped pair takes the general route too.  Members
+    # of A's cone, greatest solutions of its system, reach B's eigencone.
+    import maxcirc.attraction as attraction
+
+    a, b = pair
+    n = a.n
+    verdict = check_attraction_inclusion(a, b, trials=trials, seed=seed)
+    assert verdict == InclusionVerdict(True, None, trials_run=trials, members_tested=n + 2 * trials)
+    assert check_attraction_inclusion(a, Circulant.of([2 * v for v in b.row]), trials=trials, seed=seed) == verdict
+    assert sampled_verdict(a, b, trials, seed) == (True, None, trials, n + 2 * trials)
+    system = reduced_attraction_system(a)
+    for upper in uppers:
+        x = greatest_solution_leq(system, MaxVector(tuple(upper[:n]))).entries
+        assert bf.orbit_member(expand(b).rows, x, bound=n * n + 1)
+    if a != b:
+        spectra = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attraction, "circ_spectral", lambda c: spectra.append(c) or circ_spectral(c))
+            check_attraction_inclusion(b, a, trials=trials, seed=seed)
+        assert b in spectra
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([0, 0, 1, "1/4"], [0, 0, 1, "1/2"]),
+        ([0, "1/2", 1], [0, "1/2", 1]),
+        *WIDE_DOMINATED,
+    ],
+)
+def test_a_dominated_pair_builds_nothing(monkeypatch, a, b):
+    import maxcirc.attraction as attraction
+
+    def forbidden(*args):
+        raise AssertionError("a cone was built")
+
+    for name in ("circ_spectral", "_scaled_power", "_cone_generators"):
+        monkeypatch.setattr(attraction, name, forbidden)
+    a, b = Circulant.of(a), Circulant.of(b)
+    verdict = check_attraction_inclusion(a, b)
+    assert verdict == InclusionVerdict(True, None, trials_run=200, members_tested=a.n + 400)
+
+
+def test_a_zero_first_operand_keeps_its_unit_vector_route():
+    # A zero a is <= every b but is not dominated: its cone is the whole
+    # space, tested on the unit vectors with no trial.
+    b = Circulant.of([1, "1/2", 0, "1/4"])
+    assert check_attraction_inclusion(Circulant.of([0] * 4), b) == InclusionVerdict(True, None, 0, 4)
+    assert check_attraction_inclusion(Circulant.of([0] * 4), Circulant.of([0] * 4)) == InclusionVerdict(True, None, 0, 4)

@@ -278,6 +278,30 @@ def test_json_that_python_cannot_parse_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: invalid JSON")
 
 
+def test_the_deepest_input_the_parser_takes_is_echoed_in_full(tmp_path, capsys):
+    # The report echoes its input, so the writer must take any nesting that
+    # ``json.loads`` takes.  The stdlib's indented encoder does; a recursive
+    # writer with one Python frame per level raises RecursionError here.
+    problem = tmp_path / "problem.json"
+    out = tmp_path / "report.json"
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        problem.write_text('{"kind": "circulant_analysis", "circulant": ["1"], "note": ' + "[" * depth + "]" * depth + "}")
+        code = run(problem, output=out)
+        if code == 0:
+            break
+        assert code == 2 and "maximum recursion depth" in capsys.readouterr().err
+    assert depth > sys.getrecursionlimit() // 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + depth)
+    try:
+        note = read_report(out)["input"]["note"]
+    finally:
+        sys.setrecursionlimit(limit)
+    for _ in range(depth - 1):
+        (note,) = note
+    assert note == []
+
+
 @pytest.mark.parametrize("target", [".", "missing/report.json"])
 def test_unwritable_output_exits_2(tmp_path, capsys, target):
     problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": ["1"]})

@@ -22,7 +22,11 @@ closed form, its report is the one that sampling gave, consistent after 200
 trials with 408 members tested.  The fourteenth puts two cones of period 1
 (each row's diagonal is maximal), so each is the whole space, against each
 other: consistent after 200 trials with 408 members tested, which the
-inclusion check answers from the two spectral passes alone.
+inclusion check answers from the two spectral passes alone.  The tenth,
+``WIDE_PAIRS[9]``, has a <= b entrywise with equal largest entries and a
+first cone past the generator limit: it is now decided by domination, one
+comparison of the rows, and its report is the one that sampling gave,
+consistent after 200 trials with 408 members tested.
 
 Fourteen inline ``circulant_analysis`` problems are pinned too: n = 1, the
 zero row, a maximal diagonal with and without maximal offsets, an all-equal
