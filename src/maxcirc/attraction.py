@@ -64,7 +64,7 @@ from .core import (
     mat_mul,
     mat_power,
 )
-from .digraph import max_cycle_mean, pair_leq_scalar
+from .digraph import max_cycle_mean
 from .periodicity import (
     PeriodicityInfo,
     _admissible_lambda_class,
@@ -287,7 +287,7 @@ def in_attraction_cone_matrix(a: MaxMatrix, x: MaxVector) -> bool:
 def kleene_star(a: MaxMatrix) -> MaxMatrix:
     """I + A + A^2 + ... + A^(n-1); defined when the maximum cycle mean is <= 1."""
     cm = max_cycle_mean(a)
-    if cm is not None and not pair_leq_scalar(cm.as_pair(), ONE):
+    if cm is not None and cm.weight > 1:
         raise ValueError("Kleene star undefined: maximum cycle mean exceeds 1")
     return kleene_sum(a)
 

@@ -205,13 +205,3 @@ def circ_spectral(c: Circulant) -> CircSpectral:
         period=period,
         period_formulas=formulas,
     )
-
-
-def circ_critical_components(c: Circulant) -> tuple[tuple[int, ...], ...]:
-    """Node sets of the critical components of a nonzero circulant."""
-    return circ_spectral(c).components
-
-
-def circ_period(c: Circulant) -> int:
-    """Ultimate period of the power sequence of a nonzero circulant."""
-    return circ_spectral(c).period

@@ -161,9 +161,6 @@ class CycleMean:
     def value(self) -> Fraction | None:
         return exact_kth_root(self.weight, self.length)
 
-    def as_pair(self) -> tuple[Fraction, int]:
-        return (self.weight, self.length)
-
 
 def _pair_lt(a: tuple[Fraction, int], b: tuple[Fraction, int]) -> bool:
     """Cross-powered strict comparison of geometric means w^(1/l)."""
@@ -179,58 +176,39 @@ def pair_eq(a: tuple[Fraction, int], b: tuple[Fraction, int]) -> bool:
     return wa**lb == wb**la
 
 
-def pair_leq_scalar(a: tuple[Fraction, int], c: Fraction) -> bool:
-    """w^(1/l) <= c, decided root-free."""
-    w, l = a
-    return w <= c**l
-
-
 def _karp_class_in_scc(a: MaxMatrix, nodes: tuple[int, ...]) -> tuple[Fraction, int] | None:
     """Maximum cycle mean of the subgraph induced by one SCC, as a (w, l) pair.
 
     Karp's minimax over walk tables, run inside the strongly connected
     component; returns None when the component has no edge (no cycle).
+    ``d[k][v]`` is the greatest weight of a walk of k arcs from the first
+    node to v, and 0 where there is none: every arc weight is positive, so
+    a real walk never weighs 0.
     """
     idx = {v: k for k, v in enumerate(nodes)}
     m = len(nodes)
     in_edges: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    has_edge = False
     for u in nodes:
         for v in nodes:
             w = a.rows[u - 1][v - 1]
             if w > 0:
                 in_edges[idx[v]].append((idx[u], w))
-                has_edge = True
-    if not has_edge:
+    if not any(in_edges):
         return None
-    d: list[list[Fraction | None]] = [[None] * m for _ in range(m + 1)]
-    d[0][0] = ONE
-    for k in range(1, m + 1):
-        prev = d[k - 1]
-        cur = d[k]
-        for v in range(m):
-            best: Fraction | None = None
-            for u, w in in_edges[v]:
-                pu = prev[u]
-                if pu is None:
-                    continue
-                cand = pu * w
-                if best is None or cand > best:
-                    best = cand
-            cur[v] = best
+    d = [[ONE] + [ZERO] * (m - 1)]
+    for _ in range(m):
+        prev = d[-1]
+        d.append([max((prev[u] * w for u, w in edges), default=ZERO) for edges in in_edges])
     best_class: tuple[Fraction, int] | None = None
-    for v in range(m):
-        dn = d[m][v]
-        if dn is None:
+    for v, dn in enumerate(d[m]):
+        if not dn:
             continue
         worst: tuple[Fraction, int] | None = None
         for k in range(m):
-            dk = d[k][v]
-            if dk is None:
-                continue
-            cand = (dn / dk, m - k)
-            if worst is None or _pair_lt(cand, worst):
-                worst = cand
+            if d[k][v]:
+                cand = (dn / d[k][v], m - k)
+                if worst is None or _pair_lt(cand, worst):
+                    worst = cand
         if worst is not None and (best_class is None or _pair_lt(best_class, worst)):
             best_class = worst
     if best_class is None:
@@ -366,7 +344,7 @@ def critical_structure(a: MaxMatrix) -> CriticalStructure:
     cm = max_cycle_mean(a)
     if cm is None:
         raise ValueError("no critical structure: maximum cycle mean is zero")
-    w, l = cm.as_pair()
+    w, l = cm.weight, cm.length
     n = a.n
     scaled = MaxMatrix(
         tuple(tuple((v**l) / w if v > 0 else ZERO for v in row) for row in a.rows)

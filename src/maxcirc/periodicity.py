@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .circulant import Circulant, _int_product, circ_period, expand
+from .circulant import Circulant, _int_product, circ_spectral, expand
 from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, _scaled, mat_mul, mat_vec
 from .digraph import component_cycle_means, pair_eq
 
@@ -132,7 +132,7 @@ def transient_and_period(a: Circulant | MaxMatrix) -> PeriodicityInfo:
         )
     except NotAdmissible as exc:  # the transient bound makes this a bug
         raise InternalError(str(exc)) from exc
-    expected = circ_period(a)
+    expected = circ_spectral(a).period
     if period != expected:
         raise InternalError(f"power period {period} != circulant formula period {expected}")
     if transient > (a.n - 1) ** 2 + 1:

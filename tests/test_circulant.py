@@ -10,10 +10,8 @@ from maxcirc import (
     DimensionMismatch,
     InternalError,
     NotAdmissible,
-    circ_critical_components,
     circ_lambda,
     circ_mul,
-    circ_period,
     circ_power,
     circ_spectral,
     critical_structure,
@@ -120,11 +118,11 @@ def test_circ_lambda_equals_max_cycle_mean():
 
 
 def test_critical_components_running_example():
-    assert circ_critical_components(Circulant.of([0, 0, 1, "1/2"])) == ((1, 3), (2, 4))
+    assert circ_spectral(Circulant.of([0, 0, 1, "1/2"])).components == ((1, 3), (2, 4))
 
 
 def test_critical_components_full_component():
-    assert circ_critical_components(Circulant.of([0, 1, 0, 1, 0, 0])) == (
+    assert circ_spectral(Circulant.of([0, 1, 0, 1, 0, 0])).components == (
         (1, 2, 3, 4, 5, 6),
     )
 
@@ -140,9 +138,7 @@ def test_critical_components_diagonal_only_gives_singletons():
 
 def test_critical_components_rejects_zero():
     with pytest.raises(ValueError):
-        circ_critical_components(Circulant.of([0, 0]))
-    with pytest.raises(ValueError):
-        circ_period(Circulant.of([0, 0]))
+        circ_spectral(Circulant.of([0, 0]))
 
 
 def test_components_agree_with_critical_structure():
@@ -153,7 +149,7 @@ def test_components_agree_with_critical_structure():
         c = Circulant.of(random_row(rng, n, pool))
         if c.is_zero():
             continue
-        assert circ_critical_components(c) == critical_structure(expand(c)).components
+        assert circ_spectral(c).components == critical_structure(expand(c)).components
 
 
 def test_spectral_cross_check_reads_the_graph_off_the_row(monkeypatch):
@@ -205,9 +201,9 @@ def test_spectral_pass_matches_critical_structure(row):
 
 
 def test_circ_period_examples():
-    assert circ_period(Circulant.of([0, 0, 1, "1/2"])) == 2
-    assert circ_period(Circulant.of([0, 1, 0, 1, 0, 0])) == 2
-    assert circ_period(Circulant.of([1, "1/2", "1/4", "1/8"])) == 1
+    assert circ_spectral(Circulant.of([0, 0, 1, "1/2"])).period == 2
+    assert circ_spectral(Circulant.of([0, 1, 0, 1, 0, 0])).period == 2
+    assert circ_spectral(Circulant.of([1, "1/2", "1/4", "1/8"])).period == 1
 
 
 def test_circ_period_formula_values():

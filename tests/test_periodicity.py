@@ -12,7 +12,7 @@ from maxcirc import (
     NotAdmissible,
     PeriodicityInfo,
     circ_lambda,
-    circ_period,
+    circ_spectral,
     expand,
     orbit_period,
     transient_and_period,
@@ -169,7 +169,7 @@ def test_circulant_sweep_period_and_transient_bound():
                 continue
             c = Circulant.of(bits)
             info = transient_and_period(c)
-            assert info.period == circ_period(c)
+            assert info.period == circ_spectral(c).period
             assert info.transient <= (n - 1) ** 2 + 1
 
 
