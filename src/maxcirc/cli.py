@@ -30,8 +30,10 @@ completely reducible, or without one positive maximum cycle mean shared by
 its components), a general matrix whose normalized powers or orbit repeat
 only past the detection cap (``periodicity.HARD_DETECTION_CAP`` steps), an
 inclusion check whose operands differ in size or whose ``a`` has an
-irrational eigenvalue, or an invalid flag value (an unknown mode, a negative
-trials count, decimals outside 0..max_decimals()); 3 analysis ran but every
+irrational eigenvalue, an invalid flag value (an unknown mode, a negative
+trials count, decimals outside 0..max_decimals()), or a result value with a
+numerator or denominator past the interpreter's digit limit for integer text
+(``sys.get_int_max_str_digits()``), which no report can hold; 3 analysis ran but every
 classifier answered hypothesis_not_met; 4 internal cross-check failure.
 """
 
@@ -77,7 +79,13 @@ class ProblemError(ValueError):
 
 
 def _fmt(q: Fraction) -> str | int:
-    return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """``q`` as an integer or a "p/q" string; a part past the digit limit cannot be written."""
+    if q.denominator == 1:
+        return int(q)  # written by ``json.dumps``, which meets the same limit
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # past ``sys.get_int_max_str_digits()``
+        raise ProblemError(f"cannot write a result: {exc}") from exc
 
 
 def _fmt_vector(x: MaxVector) -> list:
@@ -284,6 +292,16 @@ def run(
             "decimals": decimals,
         }
         results = _KINDS[kind](problem, flags)
+        report = {
+            "tool": {"name": "maxcirc", "version": __version__},
+            "input": problem,
+            "flags": {"mode": mode, "trials": trials, "seed": seed, "arithmetic": "rational"},
+            "results": results,
+        }
+        try:
+            payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        except ValueError as exc:  # an integer result past ``sys.get_int_max_str_digits()``
+            raise ProblemError(f"cannot write a result: {exc}") from exc
     except (ProblemError, NotAdmissible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -291,13 +309,6 @@ def run(
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    report = {
-        "tool": {"name": "maxcirc", "version": __version__},
-        "input": problem,
-        "flags": {"mode": mode, "trials": trials, "seed": seed, "arithmetic": "rational"},
-        "results": results,
-    }
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output is None:
         sys.stdout.write(payload)
     else:

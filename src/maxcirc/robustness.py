@@ -28,7 +28,7 @@ guessing when the assumption fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .attraction import attraction_system, in_attraction_cone
@@ -163,14 +163,8 @@ class RobustnessReport:
     box_tolerance_robust: Verdict
 
     def as_dict(self) -> dict[str, Verdict]:
-        return {
-            "possibly_box_robust": self.possibly_box_robust,
-            "universally_box_robust": self.universally_box_robust,
-            "tolerance_box_robust": self.tolerance_box_robust,
-            "weak_tolerance_box_robust": self.weak_tolerance_box_robust,
-            "box_possibly_robust": self.box_possibly_robust,
-            "box_tolerance_robust": self.box_tolerance_robust,
-        }
+        """The six verdicts by classifier name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def hypotheses_all_unmet(self) -> bool:
         """Every hypothesis-carrying classifier reported its hypothesis unmet.

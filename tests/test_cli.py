@@ -309,6 +309,36 @@ def test_unwritable_output_exits_2(tmp_path, capsys, target):
     assert capsys.readouterr().err.startswith("error: cannot write")
 
 
+TINY = "0." + "0" * 2499 + "1"
+TINIER = "1/1" + "0" * 4000
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # The counterexample's entries are fractions with denominators past the limit.
+        (["1/2", "0", "0", TINY, "0"], ["1/2", "0", "0", TINY, "1"]),
+        # Its entries are integers past the limit, which only the report writer converts.
+        ([TINIER, "0", "1" + "0" * 300, TINIER], [TINIER, TINIER, "3" + "0" * 300, "0"]),
+    ],
+)
+def test_a_result_past_the_digit_limit_exits_2(tmp_path, capsys, a, b):
+    # Every input entry is within the interpreter's digit limit for integer
+    # text, but the counterexample is not, so no report can hold it.
+    problem = write_problem(tmp_path, {"kind": "inclusion_check", "a": {"circulant": a}, "b": {"circulant": b}})
+    out = tmp_path / "report.json"
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(problem, output=out) == 2
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write a result: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", [True, False])
 def test_json_booleans_are_not_scalars(tmp_path, capsys, flag):
     problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": [flag]})

@@ -192,6 +192,15 @@ def test_classify_degenerate_instance_all_yes():
     report = classify(ic, box)
     assert all(v.status == "yes" for v in report.as_dict().values())
     assert implication_violations(report) == []
+    # The CLI and the benchmark tracer read the verdicts by these names, in this order.
+    assert list(report.as_dict()) == [
+        "possibly_box_robust",
+        "universally_box_robust",
+        "tolerance_box_robust",
+        "weak_tolerance_box_robust",
+        "box_possibly_robust",
+        "box_tolerance_robust",
+    ]
 
 
 def test_classify_degenerate_instance_all_no():
