@@ -33,8 +33,9 @@ inclusion check whose operands differ in size or whose ``a`` has an
 irrational eigenvalue, an invalid flag value (an unknown mode, a negative
 trials count, decimals outside 0..max_decimals()), or a result value with a
 numerator or denominator past the interpreter's digit limit for integer text
-(``sys.get_int_max_str_digits()``), which no report can hold; 3 analysis ran but every
-classifier answered hypothesis_not_met; 4 internal cross-check failure.
+(``sys.get_int_max_str_digits()``), which no report can hold; 3 analysis ran
+but every classifier answered hypothesis_not_met; 4 internal cross-check
+failure.
 """
 
 from __future__ import annotations
