@@ -274,9 +274,11 @@ def run(
         if decimals is not None and not 0 <= decimals <= max_decimals():
             raise ProblemError(f"decimals must be in 0..{max_decimals()}: got {decimals}")
         try:
-            text = Path(problem_path).read_text(encoding="utf-8")
+            text = Path(problem_path).read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ProblemError(f"cannot read {problem_path}: {exc}") from exc
+        if "\r" in text:  # text mode's newlines, so a JSON error names the same line and column
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         try:
             problem = json.loads(text)
         except (ValueError, RecursionError) as exc:  # bad syntax, an over-long integer, deep nesting

@@ -34,14 +34,25 @@ class InternalError(RuntimeError):
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce an int, string like ``"3/4"``, or Fraction to a nonnegative Fraction.
 
+    A string is an integer or ``"p/q"``, or anything else the interpreter's
+    ``Fraction`` parses (signs, surrounding whitespace, decimals and, as that
+    version allows, underscores), except exponent notation.  The canonical
+    forms, decimal digits around at most one ``"/"`` (any Unicode ``Nd`` digit,
+    which is what ``Fraction``'s ``\\d`` matches), are converted with ``int``
+    directly; only the other strings go through ``Fraction``'s regex.
+
     Floats are rejected: they would smuggle rounding into an exact computation.
     So is exponent notation in a string: ``Fraction`` would compute the power
     of ten in full, so nine characters could ask for a ten-million-bit integer.
     """
-    if isinstance(value, float):
+    if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted; write an integer or 'p/q': {value!r}")
+    elif isinstance(value, float):
         raise TypeError(f"floats are not exact; pass an int, Fraction or 'p/q' string: {value!r}")
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        raise ValueError(f"exponent notation is not accepted; write an integer or 'p/q': {value!r}")
     q = value if isinstance(value, Fraction) else Fraction(value)
     if q.numerator < 0:  # a Fraction's denominator is positive
         raise ValueError(f"negative value not allowed in the max-times semiring: {value!r}")

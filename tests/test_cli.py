@@ -261,7 +261,52 @@ def test_non_utf8_problem_file_exits_2(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(latin, output=out) == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith("error: cannot read")
+    assert capsys.readouterr().err == (
+        f"error: cannot read {latin}: 'utf-8' codec can't decode byte 0xe9 in position 60: invalid continuation byte\n"
+    )
+
+
+def test_a_directory_as_the_problem_path_exits_2(tmp_path, capsys):
+    assert run(tmp_path) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+# The problem file is read as bytes and decoded once; text mode's newline
+# translation is applied by hand, so every report and message below is the
+# one a text-mode read gave.
+ANALYSIS_LINES = ['{"kind": "circulant_analysis",', ' "circulant": ["0", "0", "1", "1/2"]}', ""]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\r\r\n"], ids=["crlf", "cr", "cr-crlf"])
+def test_crlf_and_cr_problem_files_give_the_lf_report(tmp_path, capsys, newline):
+    lf = tmp_path / "lf.json"
+    lf.write_bytes("\n".join(ANALYSIS_LINES).encode())
+    assert run(lf) == 0
+    expected = capsys.readouterr()
+    other = tmp_path / "other.json"
+    other.write_bytes(newline.join(ANALYSIS_LINES).encode())
+    assert run(other) == 0
+    assert capsys.readouterr() == expected
+    assert '"lambda": 1,' in expected.out
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_json_error_in_a_crlf_file_names_its_text_mode_line(tmp_path, capsys, newline):
+    problem = tmp_path / "problem.json"
+    lines = ["{", '  "kind": "circulant_analysis",', '  "circulant": ["1" "2"]', "}", ""]
+    problem.write_bytes(newline.join(lines).encode())
+    assert run(problem) == 2
+    assert capsys.readouterr() == ("", "error: invalid JSON: Expecting ',' delimiter: line 3 column 21 (char 54)\n")
+
+
+def test_a_utf8_bom_problem_file_exits_2(tmp_path, capsys):
+    problem = tmp_path / "problem.json"
+    problem.write_bytes(b"\xef\xbb\xbf" + "\n".join(ANALYSIS_LINES).encode())
+    assert run(problem) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n",
+    )
 
 
 @pytest.mark.parametrize(

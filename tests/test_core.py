@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -51,6 +52,53 @@ def test_as_scalar_rejects_exponent_notation(text):
         as_scalar(text)
     with pytest.raises(ValueError, match="exponent notation is not accepted"):
         MaxVector.of(["1", text])
+
+
+def reference_as_scalar(text):
+    """The interpreter's own ``Fraction`` grammar with the exponent and sign rules on top."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation is not accepted; write an integer or 'p/q': {text!r}")
+    q = F(text)
+    if q < 0:
+        raise ValueError(f"negative value not allowed in the max-times semiring: {text!r}")
+    return q
+
+
+def outcome(coerce, text):
+    try:
+        q = coerce(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(q), q
+
+
+# "٣" and "٤" are Arabic-Indic digits (Unicode Nd, matched by Fraction's \d);
+# "²" is a digit to str.isdigit but not a decimal one.
+SCALAR_ALPHABET = "0123456789٣٤²/_ +-.e"
+DIGIT_RUNS = st.text(alphabet="0123456789٣٤", min_size=1, max_size=8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(alphabet=SCALAR_ALPHABET, max_size=12),
+        DIGIT_RUNS,
+        st.tuples(DIGIT_RUNS, DIGIT_RUNS).map("/".join),
+    )
+)
+def test_as_scalar_agrees_with_fraction_on_strings(text):
+    assert outcome(as_scalar, text) == outcome(reference_as_scalar, text)
+
+
+@pytest.mark.parametrize("form", ["{7}", "{0}", "1/{7}", "{7}/3", "{7}/0", "+{7}", " {7}/2 "])
+@pytest.mark.parametrize("past_limit", [-1, 0, 1])
+def test_as_scalar_agrees_with_fraction_around_the_digit_limit(form, past_limit):
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no digit limit is set")
+    k = limit + past_limit
+    text = form.replace("{7}", "7" * k).replace("{0}", "0" * k)
+    assert outcome(as_scalar, text) == outcome(reference_as_scalar, text)
 
 
 def test_mat_mul_identity():
