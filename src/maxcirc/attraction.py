@@ -45,7 +45,6 @@ exactly, from one entrywise comparison of the rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Literal, Sequence, TypeVar
@@ -58,6 +57,7 @@ from .core import (
     InternalError,
     MaxMatrix,
     MaxVector,
+    Record,
     _scaled,
     exact_kth_root,
     kleene_sum,
@@ -342,8 +342,7 @@ def cancel_reduce(system: TwoSidedSystem) -> TwoSidedSystem:
 # --- inclusion testing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InclusionVerdict:
+class InclusionVerdict(Record):
     """Outcome of an attraction-cone inclusion check.
 
     Within the size limit of the first cone's generating set the verdict is

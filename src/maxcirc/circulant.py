@@ -18,7 +18,6 @@ defining row's maximal offsets, so no matrix is expanded for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable
@@ -27,6 +26,7 @@ from .core import (
     DimensionMismatch,
     InternalError,
     MaxMatrix,
+    Record,
     Scaled,
     ScalarLike,
     _scaled,
@@ -36,8 +36,7 @@ from .core import (
 from .digraph import Digraph, digraph_cyclicity
 
 
-@dataclass(frozen=True)
-class Circulant:
+class Circulant(Record):
     """Circulant matrix, stored as its defining row.
 
     Each entry is coerced by ``as_scalar``: ints and ``"p/q"`` strings become
@@ -122,8 +121,7 @@ def circ_lambda(c: Circulant) -> Fraction:
     return max(c.row)
 
 
-@dataclass(frozen=True)
-class CircSpectral:
+class CircSpectral(Record):
     """Closed-form spectral data of a nonzero circulant."""
 
     eigenvalue: Fraction

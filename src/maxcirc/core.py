@@ -11,7 +11,6 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
@@ -65,8 +64,52 @@ def _scaled(values: Sequence[Fraction]) -> Scaled:
     return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
-@dataclass(frozen=True)
-class MaxVector:
+_RECORD_METHODS = """\
+def __init__(self{params}):
+{stores}
+def __eq__(self, other): return {this} == {that} if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self): return hash({this})
+"""
+
+
+class Record:
+    """Base of the library's immutable values: records of named fields.
+
+    Fields are the annotations, after the inherited ones; defaults are class
+    attributes.  Each subclass gets a generated ``__init__`` (which calls
+    ``__post_init__`` if defined), a type-strict ``__eq__`` and the field
+    tuple's ``__hash__``.  Assignment and deletion raise ``AttributeError``;
+    instances keep a ``__dict__`` for ``cached_property``.  The ``repr`` is
+    ``Name(field=value, ...)`` unless a class defines its own.  This stands
+    in for the standard library's record decorator, which is slow to import.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = cls._fields + tuple(f for f in cls.__annotations__ if f not in cls._fields)
+        ns = {"_set": object.__setattr__} | {f"_default_{f}": getattr(cls, f) for f in fields if hasattr(cls, f)}
+        params = "".join(f", {f}=_default_{f}" if f"_default_{f}" in ns else f", {f}" for f in fields)
+        stores = [f"    _set(self, {f!r}, {f})" for f in fields]
+        stores += ["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+        this = "(" + "".join(f"self.{f}, " for f in fields) + ")"
+        that = this.replace("self.", "other.")
+        exec(_RECORD_METHODS.format(params=params, stores="\n".join(stores), this=this, that=that), ns)
+        for name in ("__init__", "__eq__", "__hash__"):
+            ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, ns[name])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MaxVector(Record):
     """Dense vector of nonnegative rationals."""
 
     entries: tuple[Fraction, ...]
@@ -122,8 +165,7 @@ class MaxVector:
         return "MaxVector(" + ", ".join(str(v) for v in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class MaxMatrix:
+class MaxMatrix(Record):
     """Dense square matrix of nonnegative rationals, row-major."""
 
     rows: tuple[tuple[Fraction, ...], ...]

@@ -16,7 +16,6 @@ root-free by cross-powering: w1^(1/l1) <= w2^(1/l2) iff w1^l2 <= w2^l1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -25,14 +24,14 @@ from .core import (
     ZERO,
     InternalError,
     MaxMatrix,
+    Record,
     exact_kth_root,
     kleene_sum,
 )
 from .core import mat_mul  # noqa: F401  bench/test_bench.py checks the tracer patches it here
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Directed graph on nodes 1..node_count with an explicit edge set."""
 
     node_count: int
@@ -145,8 +144,7 @@ def is_completely_reducible(g: Digraph) -> bool:
 # --- maximum cycle mean ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleMean:
+class CycleMean(Record):
     """A maximum cycle mean, carried as a (weight, length) pair.
 
     The geometric mean is weight^(1/length).  ``value`` is that mean when it
@@ -244,8 +242,7 @@ def max_cycle_mean(a: MaxMatrix) -> CycleMean | None:
 # --- critical structure ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CriticalStructure:
+class CriticalStructure(Record):
     """Critical nodes/edges with components, cyclic classes and cyclicities."""
 
     critical_nodes: frozenset[int]

@@ -7,16 +7,16 @@ closed on both sides so that the interval is nonempty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import MaxVector, ScalarLike, as_scalar
+from .core import MaxVector, Record, ScalarLike, as_scalar
 
 BRACKET_TOKENS = ("[]", "[)", "(]", "()")
 
 
-@dataclass(frozen=True)
-class ScalarInterval:
+class ScalarInterval(Record):
+    """Nonempty interval of nonnegative rationals, each end closed or open."""
+
     lower: Fraction
     upper: Fraction
     lower_closed: bool = True
@@ -81,8 +81,7 @@ class ScalarInterval:
         return f"{self.brackets[0]}{self.lower}, {self.upper}{self.brackets[1]}"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Cartesian product of scalar intervals, one per coordinate."""
 
     intervals: tuple[ScalarInterval, ...]

@@ -16,12 +16,11 @@ transient and the minimal period simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
 from .circulant import Circulant, _int_product, circ_spectral, expand
-from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, _scaled, mat_mul, mat_vec
+from .core import DimensionMismatch, InternalError, MaxMatrix, MaxVector, Record, _scaled, mat_mul, mat_vec
 from .digraph import component_cycle_means, pair_eq
 
 # Hard stop for repeat detection.  The (n-1)^2+1 transient bound is proved
@@ -41,8 +40,9 @@ class NotAdmissible(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class PeriodicityInfo:
+class PeriodicityInfo(Record):
+    """Least transient T and period p with (A/lambda)^(t+p) = (A/lambda)^t for all t >= T."""
+
     transient: int
     period: int
 

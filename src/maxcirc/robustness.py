@@ -28,12 +28,11 @@ guessing when the assumption fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .attraction import attraction_system, in_attraction_cone
 from .circulant import Circulant
-from .core import DimensionMismatch, InternalError, MaxVector
+from .core import DimensionMismatch, InternalError, MaxVector, Record
 from .intervals import Box
 from .twosided import IterationCapExceeded, feasible_in_box, simultaneous_feasible
 
@@ -43,7 +42,6 @@ UNKNOWN = "unknown_strict_boundary"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 
-@dataclass(frozen=True)
 class IntervalCirculant(Box):
     """Set of circulants whose defining row lies in a box of entry intervals.
 
@@ -118,8 +116,7 @@ def decompose_in_box(x: MaxVector, box: Box) -> tuple[Fraction, ...]:
     return betas
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """One classifier outcome: yes / no / unknown_strict_boundary / hypothesis_not_met."""
 
     status: str
@@ -151,8 +148,7 @@ def _feasibility_verdict(solve, *args) -> Verdict:
     return Verdict(UNKNOWN)
 
 
-@dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(Record):
     """The six classifier verdicts for one (interval circulant, box) instance."""
 
     possibly_box_robust: Verdict
@@ -164,7 +160,7 @@ class RobustnessReport:
 
     def as_dict(self) -> dict[str, Verdict]:
         """The six verdicts by classifier name, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
     def hypotheses_all_unmet(self) -> bool:
         """Every hypothesis-carrying classifier reported its hypothesis unmet.

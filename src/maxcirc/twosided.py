@@ -35,7 +35,6 @@ No polynomial-time claim is made for any of this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -49,6 +48,7 @@ from .core import (
     DimensionMismatch,
     InternalError,
     MaxVector,
+    Record,
     ScalarLike,
     Scaled,
     _scaled,
@@ -68,8 +68,7 @@ class IterationCapExceeded(RuntimeError):
     """The residuation sweep did not stabilize within the iteration cap."""
 
 
-@dataclass(frozen=True)
-class TwoSidedSystem:
+class TwoSidedSystem(Record):
     """Homogeneous system of two-sided max-linear equations over n unknowns."""
 
     n: int
@@ -359,8 +358,7 @@ def _cone_generators(n: int, eqs: Sequence[ScaledEquation]) -> tuple[tuple[int, 
 # --- feasibility in a box ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Record):
     """Outcome of a box-constrained feasibility question.
 
     status is one of 'feasible' (with a witness satisfying every equation and
