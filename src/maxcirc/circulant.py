@@ -57,6 +57,8 @@ class Circulant(Record):
 
     @classmethod
     def identity(cls, n: int) -> "Circulant":
+        if n < 1:
+            raise ValueError("circulant needs at least one defining entry")
         return cls.of([1] + [0] * (n - 1))
 
     @property

@@ -129,6 +129,8 @@ class MaxVector(Record):
     @classmethod
     def unit(cls, n: int, i: int) -> "MaxVector":
         """Vector with a single 1 at 0-based position ``i``."""
+        if not 0 <= i < n:
+            raise ValueError(f"unit position {i} is outside 0..{n - 1}")
         return cls(tuple(ONE if j == i else ZERO for j in range(n)))
 
     @property

@@ -6,16 +6,21 @@ always qualify), the sequence (A/lambda)^t is ultimately periodic.  This
 module finds the exact transient and period, plus the eventual period of a
 single normalized orbit (A/lambda)^t (x) for a starting vector x.
 
-Normalized powers are never materialized when lambda is irrational: with the
-cycle-mean class (w, l), the tuple of values A^t[i,j]^l / w^t is an injective
-exact-rational fingerprint of (A/lambda)^t, so repetition of fingerprints is
-repetition of normalized powers.  Since each power is a deterministic
-function of the previous one, the first fingerprint repeat yields the minimal
-transient and the minimal period simultaneously.
+A circulant's period is the closed-form gcd period, so only its transient
+is searched for, on integer numerator rows, and the powers confirm that no
+smaller period exists.  General matrices and orbits go through a repeat
+detector.  Normalized powers are never materialized when lambda is
+irrational: with the cycle-mean class (w, l), the tuple of values
+A^t[i,j]^l / w^t is an injective exact-rational fingerprint of
+(A/lambda)^t, so repetition of fingerprints is repetition of normalized
+powers.  Since each power is a deterministic function of the previous one,
+the first fingerprint repeat yields the minimal transient and the minimal
+period simultaneously.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from operator import attrgetter
 
@@ -112,33 +117,39 @@ def _flat_entries(a: MaxMatrix) -> tuple[Fraction, ...]:
 def transient_and_period(a: Circulant | MaxMatrix) -> PeriodicityInfo:
     """Minimal transient and ultimate period of the normalized power sequence.
 
-    Powers of a ``Circulant`` are taken on defining rows of integer
+    A ``Circulant``'s period p is the closed-form gcd period of
+    ``circ_spectral``, and its powers are taken on defining rows of integer
     numerators: with the row N / D and W the largest numerator, lambda is
-    W / D and the normalized t-th power is N_t / W^t, so the repeat is
-    detected on N_t with the class (W, 1).  The result is cross-checked
-    against the closed-form period and the (n-1)^2+1 transient bound;
-    failure of either check, or no repeat within ``HARD_DETECTION_CAP``
-    steps, raises ``InternalError``.  A ``MaxMatrix`` whose repeat is not
-    found within the cap raises ``NotAdmissible``.
+    W / D and the normalized t-th power is N_t / W^t.  The transient is the
+    first t with N_(t+p) = W^p * N_t, since each power determines the next.
+    The formula is cross-checked against the powers: no proper divisor d of
+    p may have N_(T+d) = W^d * N_T, and T must be within the (n-1)^2+1
+    bound.  Failure of either check, or a repeat past
+    ``HARD_DETECTION_CAP`` steps, raises ``InternalError``.  A ``MaxMatrix``
+    goes through the repeat detector, and one whose repeat is not found
+    within the cap raises ``NotAdmissible``.
     """
     w, l = _admissible_lambda_class(a)
     if isinstance(a, MaxMatrix):
         return _matrix_transient_and_period(a, w, l)
+    period = circ_spectral(a).period
     nums, _ = _scaled(a.row)
-    try:
-        # W as a Fraction: the fingerprint divides by W^t exactly, not as floats.
-        transient, period = _detect_repeat(
-            lambda p: _int_product(p, nums), nums, tuple, Fraction(max(nums)), 1
-        )
-    except NotAdmissible as exc:  # the transient bound makes this a bug
-        raise InternalError(str(exc)) from exc
-    expected = circ_spectral(a).period
-    if period != expected:
-        raise InternalError(f"power period {period} != circulant formula period {expected}")
-    if transient > (a.n - 1) ** 2 + 1:
-        raise InternalError(
-            f"circulant transient {transient} exceeds the (n-1)^2+1 bound"
-        )
+    big = max(nums)
+    rows = deque([nums], maxlen=period + 1)  # N_t .. N_(t+p) for the candidate transient t
+    while len(rows) <= period:
+        rows.append(_int_product(rows[-1], nums))
+    lift = big**period
+    for transient in range(1, HARD_DETECTION_CAP - period + 1):
+        if rows[-1] == tuple(lift * v for v in rows[0]):
+            break
+        if transient > (a.n - 1) ** 2:
+            raise InternalError(f"circulant transient exceeds the (n-1)^2+1 bound at period {period}")
+        rows.append(_int_product(rows[-1], nums))
+    else:
+        raise InternalError(f"no repetition within the detection cap of {HARD_DETECTION_CAP} steps")
+    for d in range(1, period):
+        if period % d == 0 and rows[d] == tuple(big**d * v for v in rows[0]):
+            raise InternalError(f"power period {d} != circulant formula period {period}")
     return PeriodicityInfo(transient=transient, period=period)
 
 

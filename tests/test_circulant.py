@@ -71,6 +71,13 @@ def test_construction_rejects_negative_entries():
         Circulant((F(1, 2), F(-1, 3)))
 
 
+def test_identity_needs_a_positive_size():
+    assert Circulant.identity(3) == Circulant.of([1, 0, 0])
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="at least one defining entry"):
+            Circulant.identity(n)
+
+
 def test_circ_mul_examples():
     a = Circulant.of([0, 0, 1, "1/2"])
     assert circ_mul(a, a) == Circulant.of([1, "1/2", "1/4", 0])

@@ -101,6 +101,13 @@ def test_as_scalar_agrees_with_fraction_around_the_digit_limit(form, past_limit)
     assert outcome(as_scalar, text) == outcome(reference_as_scalar, text)
 
 
+def test_unit_rejects_a_position_outside_the_vector():
+    assert MaxVector.unit(3, 2) == MaxVector.of([0, 0, 1])
+    for i in (3, 5, -1):
+        with pytest.raises(ValueError, match=f"unit position {i} is outside 0..2"):
+            MaxVector.unit(3, i)
+
+
 def test_mat_mul_identity():
     n = A31.n
     assert mat_mul(MaxMatrix.identity(n), A31) == A31
@@ -237,7 +244,7 @@ def naive_kleene_sum(rows):
     """I + A + ... + A^(n-1) from successive Fraction products."""
     n = len(rows)
     acc = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
-    for p in bf.power_chain(rows, n - 1)[1:]:
+    for p in bf.power_chain(rows, n - 1)[1:n]:  # no A^1 term when n = 1
         acc = tuple(tuple(map(max, r, s)) for r, s in zip(acc, p))
     return acc
 

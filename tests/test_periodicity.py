@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -171,6 +172,13 @@ def test_circulant_sweep_period_and_transient_bound():
             info = transient_and_period(c)
             assert info.period == circ_spectral(c).period
             assert info.transient <= (n - 1) ** 2 + 1
+    # The general branch on the expanded matrix is the oracle for the
+    # closed-form period and the transient searched against it.
+    for n in range(1, 6):
+        for row in itertools.product([0, F(1, 2), 1], repeat=n):
+            if any(row):
+                c = Circulant.of(row)
+                assert transient_and_period(c) == transient_and_period(expand(c))
 
 
 # Eigenvalue 1, critical on node 1 alone; the entries off node 1 decay by
@@ -198,3 +206,38 @@ def test_circulant_power_sequence_past_the_detection_cap_is_an_internal_error(mo
     monkeypatch.setattr(periodicity, "HARD_DETECTION_CAP", 2)
     with pytest.raises(InternalError, match="detection cap of 2 steps"):
         transient_and_period(c)
+
+
+def test_circulant_transient_runs_no_repeat_detector(monkeypatch):
+    import maxcirc.periodicity as periodicity
+
+    c = Circulant.of([0, 0, 1, "1/2"])
+    expected = transient_and_period(expand(c))
+
+    def refuse(*args):
+        raise AssertionError("repeat detector called")
+
+    monkeypatch.setattr(periodicity, "_detect_repeat", refuse)
+    assert transient_and_period(c) == expected == PeriodicityInfo(transient=3, period=2)
+    with pytest.raises(AssertionError, match="repeat detector called"):
+        transient_and_period(expand(c))
+
+
+TWO_STEP = Circulant.of([0, 1, 0, 1, 0, 0])  # transient 2, period 2
+
+
+def test_a_formula_period_above_the_power_period_is_an_internal_error(monkeypatch):
+    import maxcirc.periodicity as periodicity
+
+    assert transient_and_period(TWO_STEP) == PeriodicityInfo(transient=2, period=2)
+    monkeypatch.setattr(periodicity, "circ_spectral", lambda c: SimpleNamespace(period=4))
+    with pytest.raises(InternalError, match="power period 2 != circulant formula period 4"):
+        transient_and_period(TWO_STEP)
+
+
+def test_a_formula_period_that_is_no_period_is_an_internal_error(monkeypatch):
+    import maxcirc.periodicity as periodicity
+
+    monkeypatch.setattr(periodicity, "circ_spectral", lambda c: SimpleNamespace(period=3))
+    with pytest.raises(InternalError, match=r"exceeds the \(n-1\)\^2\+1 bound at period 3"):
+        transient_and_period(TWO_STEP)
