@@ -45,9 +45,9 @@ exactly, from one entrywise comparison of the rows.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Literal, Sequence, TypeVar
 
 from .circulant import CircSpectral, Circulant, _int_product, _scaled_power, circ_lambda, circ_spectral, expand
 from .core import (
@@ -88,13 +88,10 @@ from .twosided import (
     satisfies,
 )
 
-Mode = Literal["exact_n2", "min_transient"]
-Row = TypeVar("Row", tuple[Fraction, ...], tuple[int, ...])
 
-
-def _distinct_pairs(pairs: Iterable[tuple[Row, Row]]) -> Iterator[tuple[Row, Row]]:
+def _distinct_pairs(pairs: Iterable[tuple[tuple, tuple]]) -> Iterator[tuple[tuple, tuple]]:
     """The pairs with unequal sides, each once up to swapping the sides."""
-    seen: set[frozenset[Row]] = set()
+    seen: set[frozenset[tuple]] = set()
     for lhs, rhs in pairs:
         if lhs == rhs:
             continue
@@ -148,7 +145,7 @@ def attraction_system_for_matrix(a: MaxMatrix) -> TwoSidedSystem:
     return _power_pair_system(a, lam, info.transient)
 
 
-def attraction_system(c: Circulant, mode: Mode = "min_transient") -> TwoSidedSystem:
+def attraction_system(c: Circulant, mode: str = "min_transient") -> TwoSidedSystem:
     """Defining system of the attraction cone of a circulant.
 
     'exact_n2' uses the exponent n^2, which is always past the transient for
@@ -166,7 +163,7 @@ def attraction_system(c: Circulant, mode: Mode = "min_transient") -> TwoSidedSys
 
 
 def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
-    """Row-pair form of the attraction system of a nonzero circulant.
+    """Row-pair form of the attraction system of a circulant.
 
     For nodes i, j in the same critical component, row i and row j of A^(n^2)
     applied to x must agree.  A chain over each component's (sorted) nodes is
@@ -176,9 +173,10 @@ def reduced_attraction_system(c: Circulant) -> TwoSidedSystem:
 
     A^(n^2) is taken on the defining row by repeated squaring, and its rows
     are rotations of that row; the components come from the gcd formula.
+    The zero circulant yields the empty system, as in ``attraction_system``.
     """
     if c.is_zero():
-        raise ValueError("zero circulant has no reduced attraction system")
+        return TwoSidedSystem(c.n, ())
     (power, den), spectral = _scaled_power(c, c.n * c.n), circ_spectral(c)
     return _row_pair_system(c.n, _row_pairs(power, spectral), den)
 
@@ -261,24 +259,18 @@ def _row_pair_system(n: int, pairs: Sequence[tuple[tuple[int, ...], tuple[int, .
     return TwoSidedSystem(n, tuple((_vector((lhs, den)), _vector((rhs, den))) for lhs, rhs in pairs))
 
 
-def in_attraction_cone(c: Circulant, x: MaxVector) -> bool:
-    """Membership of ``x`` in the attraction cone of a circulant."""
-    if x.n != c.n:
-        raise DimensionMismatch(f"vector size {x.n} vs circulant size {c.n}")
-    return satisfies(attraction_system(c), x)
+def in_attraction_cone(m: Circulant | MaxMatrix, x: MaxVector) -> bool:
+    """Membership of ``x`` in the attraction cone of a circulant or an admissible matrix.
 
-
-def in_attraction_cone_matrix(a: MaxMatrix, x: MaxVector) -> bool:
-    """Membership for a general admissible matrix, via the orbit period.
-
-    The orbit of x reaches the eigencone exactly when its normalized eventual
-    period is 1; the zero vector belongs to every attraction cone.
+    A circulant's cone is the solution set of its attraction system.  A
+    matrix's is read off the orbit: x is a member exactly when its
+    normalized eventual period is 1.
     """
-    if x.n != a.n:
-        raise DimensionMismatch(f"vector size {x.n} vs matrix size {a.n}")
-    if a.is_zero():
-        return True
-    return orbit_period(a, x) == 1
+    if isinstance(m, MaxMatrix):
+        return orbit_period(m, x) == 1
+    if x.n != m.n:
+        raise DimensionMismatch(f"vector size {x.n} vs circulant size {m.n}")
+    return satisfies(attraction_system(m), x)
 
 
 # --- Kleene stars ------------------------------------------------------------

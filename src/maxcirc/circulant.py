@@ -18,9 +18,9 @@ defining row's maximal offsets, so no matrix is expanded for it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
 
 from .core import (
     DimensionMismatch,

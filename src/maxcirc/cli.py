@@ -17,8 +17,8 @@ Problem kinds (the "kind" field selects one):
                                                 "brackets": "[]"}, ...],
                         "box": [... same shape ...]}
 
-A circulant attraction check also compares system membership with the orbit
-period; a disagreement exits 4.
+Every attraction check compares system membership with the orbit period; a
+disagreement exits 4.
 
 Exit codes: 0 success; 2 unreadable/invalid input or unwritable output,
 including a problem file that cannot be read, is not UTF-8 or is not JSON
@@ -184,17 +184,14 @@ def _attraction_check(problem: dict, flags: dict) -> dict:
     if operand.n != x.n:
         size = "circulant" if isinstance(operand, Circulant) else "matrix"
         raise ProblemError(f"vector length differs from {size} size")
-    period = orbit_period(operand, x) if not operand.is_zero() else 1
+    period = orbit_period(operand, x)
     if isinstance(operand, Circulant):
         system = attraction_system(operand, mode=flags["mode"])
-        member = satisfies(system, x)
-        if member != (period == 1):
-            raise InternalError(f"system membership {member} disagrees with orbit period {period}")
     else:
-        # A general matrix's cone is defined by the orbit, as in
-        # ``in_attraction_cone_matrix``; the system is only counted.
         system = attraction_system_for_matrix(operand)
-        member = period == 1
+    member = satisfies(system, x)
+    if member != (period == 1):
+        raise InternalError(f"system membership {member} disagrees with orbit period {period}")
     return {
         "member": member,
         "orbit_period": period,

@@ -11,11 +11,11 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Union
 
-ScalarLike = Union[Fraction, int, str]
+ScalarLike = Fraction | int | str
 Scaled = tuple[tuple[int, ...], int]  # integer numerators over one positive denominator
 
 ZERO = Fraction(0)

@@ -16,8 +16,8 @@ root-free by cross-powering: w1^(1/l1) <= w2^(1/l2) iff w1^l2 <= w2^l1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .core import (
     ONE,

@@ -164,11 +164,14 @@ def orbit_period(a: Circulant | MaxMatrix, x: MaxVector) -> int:
 
     Equals 1 exactly when the orbit of x reaches an eigenvector (or the zero
     vector), i.e. when x lies in the attraction cone of the greatest
-    eigenvalue.  An orbit whose repeat is not found within
-    ``HARD_DETECTION_CAP`` steps raises ``NotAdmissible``.
+    eigenvalue.  A zero ``a`` sends every x to the zero vector at the first
+    step, so its orbit period is 1.  An orbit whose repeat is not found
+    within ``HARD_DETECTION_CAP`` steps raises ``NotAdmissible``.
     """
     if a.n != x.n:
         raise DimensionMismatch(f"matrix size {a.n} vs vector size {x.n}")
+    if a.is_zero():
+        return 1
     w, l = _admissible_lambda_class(a)
     return _orbit_period(expand(a) if isinstance(a, Circulant) else a, x, w, l)
 

@@ -35,12 +35,12 @@ No polynomial-time claim is made for any of this.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
 
 from .core import (
     ONE,

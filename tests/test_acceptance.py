@@ -29,7 +29,6 @@ from maxcirc import (
     greatest_solution_leq,
     implication_violations,
     in_attraction_cone,
-    in_attraction_cone_matrix,
     is_kleene_star,
     mat_power,
     mat_vec,
@@ -80,10 +79,10 @@ def test_criterion_02_general_pair_reproduction():
     info_a = transient_and_period(EX21_A)
     info_b = transient_and_period(EX21_B)
     checks = [
-        in_attraction_cone_matrix(EX21_A, w1),
-        not in_attraction_cone_matrix(EX21_B, w1),
-        in_attraction_cone_matrix(EX21_B, w2),
-        not in_attraction_cone_matrix(EX21_A, w2),
+        in_attraction_cone(EX21_A, w1),
+        not in_attraction_cone(EX21_B, w1),
+        in_attraction_cone(EX21_B, w2),
+        not in_attraction_cone(EX21_A, w2),
         info_a.period == 2,
         info_b.period == 2,
         mat_power(EX21_A, 2) == mat_power(EX21_A, 4),

@@ -25,7 +25,6 @@ from maxcirc import (
     expand,
     greatest_solution_leq,
     in_attraction_cone,
-    in_attraction_cone_matrix,
     is_kleene_star,
     kleene_star,
     mat_power,
@@ -134,8 +133,8 @@ def test_reduced_system_empty_when_single_cyclic_class():
     # diagonal maximal: every component is a loop with one cyclic class
     s = reduced_attraction_system(Circulant.of([1, "1/2", "1/2"]))
     assert s.equations == ()
-    with pytest.raises(ValueError):
-        reduced_attraction_system(Circulant.of([0, 0]))
+    # the zero circulant's cone is the whole space, as in attraction_system
+    assert reduced_attraction_system(Circulant.of([0, 0])) == TwoSidedSystem(2, ())
 
 
 def test_membership_running_example():
@@ -146,11 +145,11 @@ def test_membership_running_example():
 
 def test_membership_example_pair():
     w = MaxVector.of([1, 1, 5, 1])
-    assert in_attraction_cone_matrix(EX21_A, w)
-    assert not in_attraction_cone_matrix(EX21_B, w)
+    assert in_attraction_cone(EX21_A, w)
+    assert not in_attraction_cone(EX21_B, w)
     w2 = MaxVector.of(["1/2", 1, "10/3", 1])
-    assert in_attraction_cone_matrix(EX21_B, w2)
-    assert not in_attraction_cone_matrix(EX21_A, w2)
+    assert in_attraction_cone(EX21_B, w2)
+    assert not in_attraction_cone(EX21_A, w2)
 
 
 def test_membership_tests_agree():
@@ -241,6 +240,27 @@ def test_integer_row_pairs_give_the_fraction_systems_generators(data):
     for x in [*data.draw(st.lists(vector, max_size=6)), *(generators or ())]:
         x = MaxVector.of(x)
         assert _holds(eqs, _scaled(x.entries)[0]) == satisfies(system, x)
+
+
+def test_completed_circulant_generator_sets_are_closed_under_rotation():
+    # The cyclic shift commutes with a circulant, so it maps the attraction
+    # cone onto itself and permutes its extreme rays: a set that misses a
+    # rotation of one of its generators was built wrong.
+    rng = random.Random(13)
+    entries = [0, 0, F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), 1]
+    completed = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        c = Circulant.of([rng.choice(entries) for _ in range(n)])
+        if c.is_zero():
+            continue
+        eqs = [_integer_equation(lhs, rhs) for lhs, rhs in _row_pairs(_scaled_power(c, n * n)[0], circ_spectral(c))]
+        generators = _cone_generators(n, eqs)
+        if generators is None:
+            continue
+        completed += 1
+        assert {g[-1:] + g[:-1] for g in generators} == set(generators), c
+    assert completed == 286  # the other 13 nonzero rows reach the candidate limit
 
 
 # Values above 1 too: the closed form must not rest on entries at most 1.
@@ -746,18 +766,23 @@ def test_circulant_eigenvector_window_equals_matrix_window():
         assert window == _period_window_eigenvectors(a, max_cycle_mean(a).value, transient_and_period(a))
 
 
+def test_every_vector_is_in_the_cone_of_the_zero_matrix():
+    for x in (MaxVector.zeros(2), MaxVector.of([1, 2]), MaxVector.of([0, "1/3"])):
+        assert in_attraction_cone(MaxMatrix.zeros(2), x)
+
+
 @pytest.mark.parametrize("a", [MaxMatrix.zeros(3), EX21_A])
 def test_matrix_membership_rejects_a_vector_of_another_size(a):
     with pytest.raises(DimensionMismatch, match="vector size 2"):
-        in_attraction_cone_matrix(a, MaxVector.of([1, 2]))
+        in_attraction_cone(a, MaxVector.of([1, 2]))
 
 
 def test_inclusion_finds_counterexample_for_general_pair():
     verdict = check_attraction_inclusion(EX21_A, EX21_B, trials=200, seed=0)
     assert not verdict.consistent
     x = verdict.counterexample
-    assert in_attraction_cone_matrix(EX21_A, x)
-    assert not in_attraction_cone_matrix(EX21_B, x)
+    assert in_attraction_cone(EX21_A, x)
+    assert not in_attraction_cone(EX21_B, x)
 
 
 def test_inclusion_reflexive():
@@ -773,7 +798,7 @@ def test_matrix_attraction_system_matches_membership():
         MaxVector.of(["1/2", 1, "10/3", 1]),
         MaxVector.of([1, 2, 0, 1]),
     ):
-        assert satisfies(s, x) == in_attraction_cone_matrix(EX21_A, x)
+        assert satisfies(s, x) == in_attraction_cone(EX21_A, x)
 
 
 def test_matrix_attraction_system_needs_rational_eigenvalue():
@@ -781,7 +806,7 @@ def test_matrix_attraction_system_needs_rational_eigenvalue():
     with pytest.raises(ValueError):
         attraction_system_for_matrix(irrational)
     # membership still decides through the orbit period
-    assert not in_attraction_cone_matrix(irrational, MaxVector.of([1, 1]))
+    assert not in_attraction_cone(irrational, MaxVector.of([1, 1]))
 
 
 # --- the sampler against the Fraction copy in bruteforce.py ------------------

@@ -130,6 +130,24 @@ def test_attraction_check_cross_checks_the_system_against_the_orbit(tmp_path, mo
     assert run(problem, output=tmp_path / "report.json") == 4
 
 
+def test_matrix_attraction_check_cross_checks_the_system_against_the_orbit(tmp_path, monkeypatch, capsys):
+    import maxcirc.cli as cli
+
+    original = cli.satisfies
+    monkeypatch.setattr(cli, "satisfies", lambda system, x: not original(system, x))
+    problem = write_problem(tmp_path, {"kind": "attraction_check", "matrix": [[0, 1], [4, 0]], "vector": [1, 2]})
+    assert run(problem, output=tmp_path / "report.json") == 4
+    assert capsys.readouterr().err.startswith("internal error: system membership False disagrees")
+
+
+def test_zero_matrix_attraction_check_is_a_member(tmp_path):
+    problem = write_problem(tmp_path, {"kind": "attraction_check", "matrix": [[0, 0], [0, 0]], "vector": [1, 2]})
+    out = tmp_path / "report.json"
+    assert run(problem, output=out) == 0
+    results = read_report(out)["results"]
+    assert results == {"member": True, "orbit_period": 1, "system_equation_count": 0}
+
+
 def test_inclusion_check_counterexample(tmp_path):
     problem = write_problem(
         tmp_path,

@@ -82,13 +82,15 @@ def test_circulant_branch_matches_general_branch():
         a = expand(c)
         x = MaxVector.of([rng.choice(pool) for _ in range(c.n)])
         if c.is_zero():
-            for call in (transient_and_period, lambda m: orbit_period(m, x)):
-                messages = set()
-                for m in (c, a):
-                    with pytest.raises(NotAdmissible) as raised:
-                        call(m)
-                    messages.add(str(raised.value))
-                assert len(messages) == 1
+            # The orbit is the zero vector from the first step, so it has
+            # period 1; the power sequence has no positive eigenvalue.
+            assert orbit_period(c, x) == orbit_period(a, x) == 1
+            messages = set()
+            for m in (c, a):
+                with pytest.raises(NotAdmissible) as raised:
+                    transient_and_period(m)
+                messages.add(str(raised.value))
+            assert len(messages) == 1
             continue
         assert transient_and_period(c) == transient_and_period(a)
         assert orbit_period(c, x) == orbit_period(a, x)
@@ -139,6 +141,15 @@ def test_orbit_period_examples():
     p6 = expand(Circulant.of([0, 1, 0, 0, 0, 0]))
     assert orbit_period(p6, MaxVector.unit(6, 0)) == 6
     assert orbit_period(a, MaxVector.zeros(4)) == 1
+
+
+def test_orbit_period_of_a_zero_operand_is_one():
+    # Every orbit is the zero vector from the first step.
+    rng = random.Random(3)
+    for m in (MaxMatrix.zeros(3), Circulant.of([0, 0, 0])):
+        for _ in range(20):
+            x = MaxVector.of([rng.choice([0, F(1, 3), 1, 2]) for _ in range(3)])
+            assert orbit_period(m, x) == 1
 
 
 def test_orbit_period_rejects_a_vector_of_another_size():

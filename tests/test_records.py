@@ -3,7 +3,7 @@
 Every value class compares and hashes by its fields and only against its own
 class, refuses assignment and deletion, pickles, and keeps its ``repr``.
 The last test guards the CLI's start-up: importing it must not pull in
-``dataclasses`` (and through it ``inspect``, ``ast`` and ``dis``).
+``dataclasses`` (and through it ``inspect``, ``ast`` and ``dis``) or ``typing``.
 """
 
 import os
@@ -185,6 +185,6 @@ def test_iteration_cap_is_computed_once_and_cached():
 
 def test_cli_import_does_not_load_dataclasses():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = "import sys, maxcirc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = "import sys, maxcirc.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
