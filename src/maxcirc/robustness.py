@@ -21,8 +21,9 @@ eigenvector.  Each is decided through its exact characterization:
 - box tolerance robust     (every box point absorbed by some matrix):
   equivalent to possibly box-robust.
 
-Characterizations that assume the envelope circulant lies inside the
-interval, or a closed box, surface ``hypothesis_not_met`` instead of
+Possibly and weak tolerance read one envelope attraction system, built
+once.  Characterizations that assume the envelope circulant lies inside
+the interval, or a closed box, surface ``hypothesis_not_met`` instead of
 guessing when the assumption fails.
 """
 
@@ -34,7 +35,7 @@ from .attraction import attraction_system, in_attraction_cone
 from .circulant import Circulant
 from .core import DimensionMismatch, InternalError, MaxVector, Record
 from .intervals import Box
-from .twosided import IterationCapExceeded, feasible_in_box, simultaneous_feasible
+from .twosided import IterationCapExceeded, feasible_in_box, satisfies, simultaneous_feasible
 
 YES = "yes"
 NO = "no"
@@ -183,17 +184,18 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
         raise DimensionMismatch(f"interval circulant size {ic.n} vs box size {box.n}")
     n = ic.n
     env = envelope_circulant(ic)
-    env_ok = envelope_in_interval(ic)
+    env_ok = ic.contains(env)
     corners = [corner_vector(box, k) for k in range(1, n + 1)]
     corner_mats = [corner_matrix(ic, k) for k in range(n)]
-    env_hypothesis = Verdict(
-        HYPOTHESIS_NOT_MET, "envelope circulant is not a member of the interval"
-    )
 
     if env_ok:
-        possibly = _from_bool(all(in_attraction_cone(env, x) for x in corners))
+        env_system = attraction_system(env)
+        possibly = _from_bool(all(satisfies(env_system, x) for x in corners))
+        weak = _feasibility_verdict(feasible_in_box, env_system, box)
     else:
-        possibly = env_hypothesis
+        possibly = weak = Verdict(
+            HYPOTHESIS_NOT_MET, "envelope circulant is not a member of the interval"
+        )
 
     universally = _from_bool(all(in_attraction_cone(mat, x) for mat in corner_mats for x in corners))
 
@@ -209,11 +211,6 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
                 tolerance = verdict
     else:
         tolerance = Verdict(HYPOTHESIS_NOT_MET, "box has a non-closed interval")
-
-    if env_ok:
-        weak = _feasibility_verdict(feasible_in_box, attraction_system(env), box)
-    else:
-        weak = env_hypothesis
 
     box_possibly = _feasibility_verdict(simultaneous_feasible, systems, box)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from maxcirc import (
     Circulant,
     DimensionMismatch,
+    IterationCapExceeded,
     MaxMatrix,
     MaxVector,
     NotAdmissible,
@@ -727,6 +728,35 @@ def test_inclusion_is_decided_from_the_generators_without_trials(monkeypatch, a,
         assert check_attraction_inclusion(a, b_scaled, trials=trials, seed=seed) == InclusionVerdict(
             True, None, trials_run=trials, members_tested=members
         )
+
+
+def _capped(*args):
+    raise IterationCapExceeded("no stabilization")
+
+
+def _zero_solution(system, upper, cap):
+    return (0,) * len(upper[0]), 1
+
+
+@pytest.mark.parametrize(
+    "greatest, members",
+    [
+        (None, 68),
+        # A capped trial is skipped together with its four combination draws.
+        (_capped, 8),
+        # A zero solution is not counted as a member, but its combination is.
+        (_zero_solution, 38),
+    ],
+)
+def test_sampler_skips_capped_trials_and_zero_solutions(monkeypatch, greatest, members):
+    # The pair is past the generator limit, so the sampler decides it.
+    import maxcirc.attraction as attraction
+
+    wide = Circulant.of(["1/2", "1/4", "3/4", 0, 1, "1/2", "3/4", 0])
+    if greatest is not None:
+        monkeypatch.setattr(attraction, "_greatest", greatest)
+    verdict = check_attraction_inclusion(wide, Circulant.of([2 * v for v in wide.row]), trials=30, seed=1)
+    assert verdict == InclusionVerdict(True, None, trials_run=30, members_tested=members)
 
 
 @pytest.mark.parametrize(

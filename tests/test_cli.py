@@ -652,6 +652,18 @@ def test_module_entry_point(tmp_path):
     assert report["results"]["period"] == 3
 
 
+def test_command_line_flags_reach_the_report(tmp_path, capsys):
+    import maxcirc.cli as cli
+
+    problem = write_problem(tmp_path, {"kind": "circulant_analysis", "circulant": ["0", "1", "0"]})
+    assert cli.main([str(problem), "--mode", "exact_n2", "--trials", "7", "--seed", "3"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags == {"arithmetic": "rational", "mode": "exact_n2", "seed": 3, "trials": 7}
+    with pytest.raises(SystemExit) as raised:
+        cli.main([str(problem), "--mode", "bogus"])
+    assert raised.value.code == 2
+
+
 # --- fuzzing: every input ends in a documented exit code ---------------------
 
 FUZZ_SCALARS = st.sampled_from(["0", "1/4", "1/2", "1", "2", "3"])
@@ -718,6 +730,6 @@ def test_every_input_ends_in_a_documented_exit_code(tmp_path_factory, problem, t
             assert problem["kind"] == "attraction_check" and "matrix" in problem
             assert IRRATIONAL in str(exc)
             return
-    assert code in (0, 2, 3, 4)
+    assert code in (0, 2, 3)
     if not isinstance(problem["kind"], str):
         assert code == 2

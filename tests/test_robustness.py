@@ -25,7 +25,7 @@ from maxcirc import (
     implication_violations,
     in_attraction_cone,
 )
-from maxcirc import robustness
+from maxcirc import attraction, robustness
 from maxcirc.intervals import BRACKET_TOKENS
 
 IC_31 = IntervalCirculant.of([(0, 0), (0, 0), (1, 1), ("1/4", "1/2")])
@@ -171,7 +171,9 @@ def test_classify_runs_no_karp_pass(monkeypatch, tmp_path):
 @pytest.mark.parametrize("envelope_inside", [True, False])
 @pytest.mark.parametrize("closed_box", [True, False])
 def test_classify_builds_each_corner_system_once(monkeypatch, envelope_inside, closed_box):
-    # Counts the systems classify builds itself, not those in_attraction_cone builds.
+    # Counts the systems classify builds itself: each corner matrix's, and the
+    # envelope's when it is a member.  The universal classifier's
+    # in_attraction_cone builds go through the attraction module, not counted here.
     built = []
     build = robustness.attraction_system
     monkeypatch.setattr(robustness, "attraction_system", lambda c: built.append(c) or build(c))
@@ -184,6 +186,28 @@ def test_classify_builds_each_corner_system_once(monkeypatch, envelope_inside, c
     if envelope_inside:
         expected.append(envelope_circulant(ic))
     assert Counter(built) == Counter(expected)
+
+
+@pytest.mark.parametrize("interval", [(0, 1), (0, 1, "[)")])
+def test_classify_builds_the_envelope_system_once(monkeypatch, interval):
+    # The envelope Circ(1, 1/2, 1/2, 1/2) equals no corner matrix and its cone
+    # is the whole space, so the possibly classifier tests all four corner
+    # vectors; with weak tolerance they read one envelope system.  Each corner
+    # matrix is built once for the corner systems and once per corner vector
+    # by in_attraction_cone: 21 builds in all.
+    built = []
+    build = attraction.attraction_system
+    counting = lambda c: built.append(c) or build(c)
+    monkeypatch.setattr(robustness, "attraction_system", counting)
+    monkeypatch.setattr(attraction, "attraction_system", counting)
+    ic = IntervalCirculant.of([(1, 1), (0, "1/2"), (0, "1/2"), (0, "1/2")])
+    env = envelope_circulant(ic)
+    assert env == Circulant.of([1, "1/2", "1/2", "1/2"]) and envelope_in_interval(ic)
+    report = classify(ic, Box.of([interval] * 4))
+    assert report.possibly_box_robust.status == report.weak_tolerance_box_robust.status == "yes"
+    expected = Counter({corner_matrix(ic, k): 5 for k in range(4)})
+    expected[env] += 1
+    assert Counter(built) == expected
 
 
 def test_classify_degenerate_instance_all_yes():
@@ -277,6 +301,17 @@ def test_tolerance_keeps_an_undecided_corner_verdict():
         "iteration cap: no stabilization within 180 sweeps and fallback enumeration unavailable",
     )
     assert implication_violations(report) == []
+
+
+def test_implication_violations_name_a_broken_implication_and_the_disagreement():
+    # Not a classify outcome: box tolerance is computed as possibly.  Universal
+    # robustness implies possibly, and the two equivalent verdicts disagree.
+    verdicts = {name: robustness.Verdict("yes") for name in robustness.RobustnessReport._fields}
+    verdicts["possibly_box_robust"] = robustness.Verdict("no")
+    assert implication_violations(robustness.RobustnessReport(**verdicts)) == [
+        "universally_box_robust = yes but possibly_box_robust = no",
+        "box_tolerance_robust and possibly_box_robust disagree",
+    ]
 
 
 def test_normalized_members_are_dominated_by_envelope():
