@@ -10,7 +10,9 @@ eigenvector.  Each is decided through its exact characterization:
 - possibly box-robust      (some matrix absorbs the whole box): corner
   vectors against the envelope circulant.
 - universally box-robust   (every matrix absorbs the whole box): corner
-  vectors against every corner matrix.
+  vectors against every corner matrix, one vector against all corners
+  before the next, because a corner whose cone is the whole space accepts
+  every vector and a rejecting corner ends the scan sooner.
 - tolerance box-robust     (every matrix absorbs some box point): per-corner
   matrix, feasibility of its attraction system inside the box; requires a
   closed box.
@@ -197,7 +199,7 @@ def classify(ic: IntervalCirculant, box: Box) -> RobustnessReport:
             HYPOTHESIS_NOT_MET, "envelope circulant is not a member of the interval"
         )
 
-    universally = _from_bool(all(in_attraction_cone(mat, x) for mat in corner_mats for x in corners))
+    universally = _from_bool(all(in_attraction_cone(mat, x) for x in corners for mat in corner_mats))
 
     systems = [attraction_system(mat) for mat in corner_mats]
     if box.is_closed:

@@ -210,6 +210,45 @@ def test_classify_builds_the_envelope_system_once(monkeypatch, interval):
     assert Counter(built) == expected
 
 
+def test_universal_check_scans_one_vector_against_all_corners_first(monkeypatch):
+    # Corner 0, Circ(3/4, 1/4, 1/4, 0), has a maximal diagonal entry, so its
+    # cone is the whole space; corner 1, Circ(0, 1/2, 1/4, 0), rejects corner
+    # vector 1.  Scanned vector by vector, the check stops after two builds;
+    # matrix by matrix it would test all four vectors against corner 0 first.
+    built = []
+    build = attraction.attraction_system
+    monkeypatch.setattr(attraction, "attraction_system", lambda c: built.append(c) or build(c))
+    ic = IntervalCirculant.of([(0, "3/4"), ("1/4", "1/2"), ("1/4", "1/4"), (0, "1/4")])
+    box = Box.of([("3/4", 1), ("3/4", "3/4"), ("1/4", 1), ("1/4", "3/4")])
+    report = classify(ic, box)
+    assert built == [Circulant.of(["3/4", "1/4", "1/4", 0]), Circulant.of([0, "1/2", "1/4", 0])]
+    statuses = {name: v.status for name, v in report.as_dict().items()}
+    assert statuses.pop("universally_box_robust") == "no"
+    assert set(statuses.values()) == {"yes"}
+
+
+def test_classify_is_invariant_under_rotating_the_box():
+    # The cyclic shift commutes with every circulant, so every attraction cone
+    # and the solution set of every corner system is shift-invariant; rotating
+    # the box's intervals permutes its corner vectors and rotates every sweep.
+    rng = random.Random(30)
+    grid = [0, F(1, 4), F(1, 2), F(3, 4), 1]
+
+    def statuses(report):
+        return [v.status for v in report.as_dict().values()]
+
+    for i in range(60):
+        n = rng.randint(2, 5)
+        ic = IntervalCirculant(tuple(bracketed_interval(rng, grid) for _ in range(n)))
+        # Every other box is closed, so the tolerance classifier decides too.
+        interval = bracketed_interval if i % 2 else grid_interval
+        intervals = tuple(interval(rng, grid) for _ in range(n))
+        expected = statuses(classify(ic, Box(intervals)))
+        for s in range(1, n):
+            rotated = Box(intervals[s:] + intervals[:s])
+            assert statuses(classify(ic, rotated)) == expected, (ic, intervals, s)
+
+
 def test_classify_degenerate_instance_all_yes():
     ic = IntervalCirculant.of([(0, 0), (0, 0), (1, 1), ("1/2", "1/2")])
     box = Box.point(["1/2", 1, "1/4", 1])
